@@ -45,8 +45,7 @@ pub use experiment::{
     bucket_by_streams, measure, run_plan, run_plan_buffered, sweep_all_plans, Measurement,
 };
 pub use materialize::{
-    materialize, materialize_buffered, materialize_fragment, materialize_parallel,
-    materialize_to_string, Materialization,
+    materialize, materialize_buffered, materialize_fragment, materialize_to_string, Materialization,
 };
 pub use queries::{query1, query1_tree, query2, query2_tree, QUERY1_RXL, QUERY2_RXL};
 pub use query::{query_view, query_view_to_string, QueryError, QueryOutcome};

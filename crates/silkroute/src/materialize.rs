@@ -68,22 +68,6 @@ fn tag_and_report<W: Write>(
     ))
 }
 
-/// How the component SQL queries are executed against the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecMode {
-    /// Pipelined: every query is submitted immediately via
-    /// [`Server::execute_sql_streaming`], so server-side execution and
-    /// encoding overlap with client-side decode + tagging.
-    Streaming,
-    /// Sequential: each query runs to completion via
-    /// [`Server::execute_sql`] before the next is submitted. Kept for
-    /// apples-to-apples cost decomposition (per-stream server times are
-    /// disjoint wall-clock intervals).
-    Buffered,
-}
-
-/// Shared head of every materialization: generate the component queries and
-/// turn each into a tagger [`StreamInput`] under the chosen execution mode.
 /// Submission-time retries of transient server failures, layered on top of
 /// the server's own execute-level retry budget: a component query that
 /// still fails transiently is resubmitted from scratch rather than failing
@@ -91,17 +75,21 @@ enum ExecMode {
 /// `materialize.retries`.
 const SUBMIT_RETRIES: u32 = 1;
 
+/// Submit one component query: pipelined through
+/// [`Server::execute_sql_streaming`] (`streaming`), or run to completion
+/// through [`Server::execute_sql`] before the next is submitted.
 fn submit_with_retry(
     server: &Server,
     sql: &str,
-    mode: ExecMode,
+    streaming: bool,
 ) -> Result<TupleStream, EngineError> {
     let submitted = Instant::now();
     let mut attempt = 0u32;
     loop {
-        let result = match mode {
-            ExecMode::Streaming => server.execute_sql_streaming(sql),
-            ExecMode::Buffered => server.execute_sql(sql),
+        let result = if streaming {
+            server.execute_sql_streaming(sql)
+        } else {
+            server.execute_sql(sql)
         };
         match result {
             Err(EngineError::Transient(_)) if attempt < SUBMIT_RETRIES => {
@@ -128,6 +116,8 @@ fn submit_with_retry(
     }
 }
 
+/// Shared head of every materialization: turn each generated component
+/// query into a tagger [`StreamInput`], then tag and report.
 fn run_pipeline<W: Write>(
     tree: &ViewTree,
     server: &Server,
@@ -135,12 +125,12 @@ fn run_pipeline<W: Write>(
     out: W,
     start: Instant,
     plan_time: std::time::Duration,
-    mode: ExecMode,
+    streaming: bool,
 ) -> Result<(Materialization, W), TagError> {
     let mut sql = Vec::with_capacity(queries.len());
     let mut inputs = Vec::with_capacity(queries.len());
     for (i, q) in queries.into_iter().enumerate() {
-        let mut stream = submit_with_retry(server, &q.sql, mode)?;
+        let mut stream = submit_with_retry(server, &q.sql, streaming)?;
         if let Some(tracer) = server.tracer() {
             stream.set_trace(tracer, &i.to_string());
         }
@@ -151,8 +141,7 @@ fn run_pipeline<W: Write>(
             reduced: q.reduced,
         });
     }
-    let parallel = mode == ExecMode::Streaming;
-    tag_and_report(tree, server, sql, inputs, out, start, plan_time, parallel)
+    tag_and_report(tree, server, sql, inputs, out, start, plan_time, streaming)
 }
 
 /// Materialize a view into `out` using the given plan.
@@ -174,15 +163,7 @@ pub fn materialize<W: Write>(
         generate_queries(tree, server.database(), spec)?
     };
     let plan_time = start.elapsed();
-    run_pipeline(
-        tree,
-        server,
-        queries,
-        out,
-        start,
-        plan_time,
-        ExecMode::Streaming,
-    )
+    run_pipeline(tree, server, queries, out, start, plan_time, true)
 }
 
 /// Materialize a view with each SQL query executed sequentially and fully
@@ -201,29 +182,7 @@ pub fn materialize_buffered<W: Write>(
         generate_queries(tree, server.database(), spec)?
     };
     let plan_time = start.elapsed();
-    run_pipeline(
-        tree,
-        server,
-        queries,
-        out,
-        start,
-        plan_time,
-        ExecMode::Buffered,
-    )
-}
-
-/// Materialize a view with all SQL queries executed **concurrently**, one
-/// server worker per stream — the middle-ware client opening several
-/// connections at once. Since pipelined execution became the default this
-/// is equivalent to [`materialize`]: submitting every streaming query up
-/// front already overlaps all server-side work with tagging.
-pub fn materialize_parallel<W: Write>(
-    tree: &ViewTree,
-    server: &Server,
-    spec: PlanSpec,
-    out: W,
-) -> Result<(Materialization, W), TagError> {
-    materialize(tree, server, spec, out)
+    run_pipeline(tree, server, queries, out, start, plan_time, false)
 }
 
 /// Materialize only the **fragment** of the view under root elements whose
@@ -244,15 +203,7 @@ pub fn materialize_fragment<W: Write>(
         sr_sqlgen::generate_queries_filtered(tree, server.database(), spec, root_filter)?
     };
     let plan_time = start.elapsed();
-    run_pipeline(
-        tree,
-        server,
-        queries,
-        out,
-        start,
-        plan_time,
-        ExecMode::Streaming,
-    )
+    run_pipeline(tree, server, queries, out, start, plan_time, true)
 }
 
 /// Materialize into a `String` (convenience for tests and examples).
@@ -416,10 +367,10 @@ mod tests {
         let server = server();
         let tree = query1_tree(server.database());
         for spec in [PlanSpec::fully_partitioned(), PlanSpec::unified(&tree)] {
-            let (seq_info, seq) = materialize_to_string(&tree, &server, spec).unwrap();
-            let (par_info, par_bytes) =
-                materialize_parallel(&tree, &server, spec, Vec::new()).unwrap();
-            let par = String::from_utf8(par_bytes).unwrap();
+            let (seq_info, seq_bytes) =
+                materialize_buffered(&tree, &server, spec, Vec::new()).unwrap();
+            let seq = String::from_utf8(seq_bytes).unwrap();
+            let (par_info, par) = materialize_to_string(&tree, &server, spec).unwrap();
             assert_eq!(seq, par);
             assert_eq!(seq_info.streams, par_info.streams);
             assert_eq!(seq_info.stats.tuples, par_info.stats.tuples);

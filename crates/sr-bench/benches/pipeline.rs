@@ -23,7 +23,10 @@
 //! The headline number is baseline vs. pipelined on the multi-stream
 //! plans, i.e. "what did this PR buy end to end". Per-stage
 //! `server_ms` / `transfer_ms` / `tag_ms` decompositions and the elided
-//! sort counts are recorded per point. Note that on a single-CPU host the
+//! sort counts are recorded per point. Every section runs on the server's
+//! (vectorized, batch-at-a-time) executor; a final section times that
+//! executor against the row-at-a-time reference evaluator
+//! (`sr_engine::execute`) on the same plans. Note that on a single-CPU host the
 //! streaming path degrades to inline execution (no worker threads), so the
 //! pipelined-vs-sequential delta there reflects elision plus the leaner
 //! chunk-encode path, not true overlap; the JSON records the host's
@@ -35,8 +38,11 @@
 
 use std::sync::Arc;
 
+use std::time::Instant;
+
 use silkroute::{run_plan, run_plan_buffered, Config, Measurement, PlanSpec, QueryStyle, Server};
 use sr_obs::{Json, Tracer};
+use sr_tagger::{tag_streams, RowSource, StreamInput};
 use sr_tpch::Scale;
 use sr_viewtree::{EdgeSet, ViewTree};
 
@@ -146,6 +152,54 @@ fn stage_json(m: &Measurement) -> Json {
     ])
 }
 
+/// One plan run on the row-at-a-time reference evaluator, shaped like the
+/// buffered [`run_plan_buffered`] measurement: each component query is
+/// planned by the server, evaluated by `sr_engine::execute` and wire-encoded
+/// (`query_ms`), decoded back (`transfer_ms`), then tagged (`tag_ms`).
+fn run_reference(tree: &ViewTree, server: &Server, spec: PlanSpec) -> Measurement {
+    let db = server.database();
+    let queries = sr_sqlgen::generate_queries(tree, db, spec).expect("sqlgen");
+    let start = Instant::now();
+    let (mut query_ms, mut transfer_ms, mut tuples, mut wire_bytes) = (0.0, 0.0, 0, 0);
+    let mut inputs = Vec::with_capacity(queries.len());
+    for q in &queries {
+        let t = Instant::now();
+        let (plan, _) = server.optimized_plan(&q.sql).expect("plan");
+        let rs = sr_engine::execute(&plan, db).expect("reference execution");
+        let mut wire = sr_engine::wire::encode_rows(&rs.rows);
+        query_ms += t.elapsed().as_secs_f64() * 1e3;
+        wire_bytes += wire.len() as u64;
+        let t = Instant::now();
+        let mut rows = Vec::with_capacity(rs.rows.len());
+        while let Some(row) = sr_engine::wire::decode_row(&mut wire).expect("decode") {
+            rows.push(row);
+        }
+        transfer_ms += t.elapsed().as_secs_f64() * 1e3;
+        tuples += rows.len() as u64;
+        inputs.push(StreamInput {
+            schema: rs.schema,
+            rows: RowSource::Materialized(rows.into_iter()),
+            reduced: q.reduced.clone(),
+        });
+    }
+    let t = Instant::now();
+    let (stats, _) = tag_streams(tree, inputs, std::io::sink(), false).expect("tag");
+    Measurement {
+        edge_bits: spec.edges.bits(),
+        streams: queries.len(),
+        reduce: spec.reduce,
+        style: "outer-join".to_string(),
+        query_ms,
+        transfer_ms,
+        tag_ms: t.elapsed().as_secs_f64() * 1e3,
+        total_ms: start.elapsed().as_secs_f64() * 1e3,
+        tuples,
+        wire_bytes,
+        xml_bytes: stats.bytes,
+        timed_out: false,
+    }
+}
+
 fn main() {
     let quick = std::env::var("SR_BENCH_QUICK")
         .map(|v| v == "1")
@@ -253,23 +307,24 @@ fn main() {
         (trace_overhead - 1.0) * 100.0
     );
 
-    // === Vectorized columnar execution vs. the tuple path ===
+    // === The executor vs. the row-at-a-time reference evaluator ===
     //
-    // The same plans, pipelined, with the server's executor switched to
-    // batch-at-a-time columnar (`--exec vectorized`). The headline is the
-    // *server-side* time ratio (`server_ms`): late materialization means
-    // the vectorized path never builds rows, so the scan/filter/encode
-    // work per tuple collapses. The acceptance bar is ≥2× on the
-    // scan-heavy query1 unified plan.
-    let vector_server =
-        Server::new(Arc::clone(server.database())).with_exec_mode(sr_engine::ExecMode::Vectorized);
-    println!("\n=== Vectorized columnar execution (--exec vectorized) ===\n");
+    // The same plans, each component query run to completion in turn:
+    // once through the server (its vectorized executor, buffered), once
+    // through `sr_engine::execute` on the very plan the server optimizes
+    // the SQL to, encoded, decoded and tagged the same way. The headline is
+    // the *server-side* time ratio (`server_ms`): late materialization
+    // means the executor never builds rows, so the scan/filter/encode work
+    // per tuple collapses. The acceptance bar is ≥2× on the scan-heavy
+    // query1 unified plan.
+    println!("\n=== Vectorized executor vs. row-at-a-time reference ===\n");
     struct VecPoint {
         query: String,
         plan: String,
         tuple: Measurement,
         vectorized: Measurement,
     }
+    let batches_before = server.metrics().snapshot().counter("exec.batches");
     let mut vec_points: Vec<VecPoint> = Vec::new();
     for (qname, tree) in &trees {
         let plans: Vec<(&'static str, EdgeSet)> = vec![
@@ -282,24 +337,21 @@ fn main() {
                 reduce: true,
                 style: QueryStyle::OuterJoin,
             };
-            let _ = run_plan(tree, &server, spec, None).expect("tuple warm-up");
-            let _ = run_plan(tree, &vector_server, spec, None).expect("vectorized warm-up");
+            let _ = run_plan_buffered(tree, &server, spec, None).expect("executor warm-up");
+            let _ = run_reference(tree, &server, spec);
             let mut tuple: Option<Measurement> = None;
             let mut vectorized: Option<Measurement> = None;
             for _ in 0..reps {
-                keep_min(
-                    &mut tuple,
-                    run_plan(tree, &server, spec, None).expect("tuple run"),
-                );
+                keep_min(&mut tuple, run_reference(tree, &server, spec));
                 keep_min(
                     &mut vectorized,
-                    run_plan(tree, &vector_server, spec, None).expect("vectorized run"),
+                    run_plan_buffered(tree, &server, spec, None).expect("executor run"),
                 );
             }
             let t = tuple.expect("at least one repetition");
             let v = vectorized.expect("at least one repetition");
             println!(
-                "{:<7} {:<12} tuple server {:>8.2} ms  vectorized server {:>8.2} ms  \
+                "{:<7} {:<12} reference server {:>8.2} ms  executor server {:>8.2} ms  \
                  ({:.2}x server, {:.2}x total)",
                 qname,
                 pname,
@@ -319,12 +371,11 @@ fn main() {
     let t_server: f64 = vec_points.iter().map(|p| p.tuple.query_ms).sum();
     let v_server: f64 = vec_points.iter().map(|p| p.vectorized.query_ms).sum();
     println!(
-        "\nvectorized server-side speedup across all plans: {:.2}x \
-         (tuple {t_server:.2} ms, vectorized {v_server:.2} ms)",
+        "\nexecutor server-side speedup over the reference across all plans: {:.2}x \
+         (reference {t_server:.2} ms, executor {v_server:.2} ms)",
         t_server / v_server
     );
-    let vec_snap = vector_server.metrics().snapshot();
-    let exec_batches = vec_snap.counter("exec.batches");
+    let exec_batches = server.metrics().snapshot().counter("exec.batches") - batches_before;
     println!(
         "batches processed: {exec_batches} (batch size {})",
         sr_data::BATCH_ROWS
@@ -336,9 +387,10 @@ fn main() {
         ("config", Json::Str(config.describe())),
         ("repetitions", Json::UInt(reps as u64)),
         ("host_parallelism", Json::UInt(parallelism as u64)),
-        // Mode of the baseline/sequential/pipelined/traced sections; the
-        // `vectorized` section below carries both modes side by side.
-        ("exec_mode", Json::Str("tuple".to_string())),
+        // Executor of the baseline/sequential/pipelined/traced sections;
+        // the `vectorized` section below sets it beside the row-at-a-time
+        // reference evaluator (`exec_modes.tuple`).
+        ("exec_mode", Json::Str(server.exec_mode().to_string())),
         ("batch_size", Json::UInt(sr_data::BATCH_ROWS as u64)),
         (
             "baseline_definition",

@@ -12,8 +12,8 @@
 
 use std::time::Duration;
 
-use crate::exec::PlanProfile;
 use crate::plan::Plan;
+use crate::vexec::PlanProfile;
 
 /// The Q-error of an estimate against an actual count:
 /// `max(est/act, act/est)` with both sides clamped to ≥ 1 row, so the
@@ -245,8 +245,8 @@ fn node_label(plan: &Plan) -> String {
 mod tests {
     use super::*;
     use crate::cost::estimate_with_nodes;
-    use crate::exec::execute_analyzed;
     use crate::plan::JoinKind;
+    use crate::vexec::execute_vectorized_analyzed;
     use sr_data::{row, DataType, Database, Schema, Table};
     use std::time::Instant;
 
@@ -295,14 +295,14 @@ mod tests {
             .sort(vec!["s_k".into()]);
         let (_, est) = estimate_with_nodes(&p, &db).unwrap();
         let start = Instant::now();
-        let (rs, _, pp) = execute_analyzed(&p, &db).unwrap();
+        let (rs, _, pp) = execute_vectorized_analyzed(&p, &db).unwrap();
         let analysis = ExplainAnalysis::assemble(
             &p,
             &pp,
             &est,
             0,
             start.elapsed(),
-            rs.len() as u64,
+            rs.row_count() as u64,
             "SELECT ...".into(),
         );
         assert_eq!(analysis.nodes.len(), 4);
@@ -334,7 +334,7 @@ mod tests {
     fn missing_estimates_render_as_dashes() {
         let db = db();
         let p = Plan::scan("T", "t");
-        let (_, _, pp) = execute_analyzed(&p, &db).unwrap();
+        let (_, _, pp) = execute_vectorized_analyzed(&p, &db).unwrap();
         // NaN = "no estimate for this node".
         let analysis =
             ExplainAnalysis::assemble(&p, &pp, &[f64::NAN], 0, Duration::ZERO, 5, "q".into());

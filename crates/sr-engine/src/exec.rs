@@ -1,172 +1,20 @@
-//! Plan execution.
+//! The row-at-a-time reference evaluator.
 //!
-//! Operators are intentionally simple and fully materializing: the paper's
-//! measurements attribute query-only time to server-side work that must
-//! finish before the first tuple of a *sorted* stream can be returned
-//! ("the time to first tuple is comparable to the time to count all tuples
-//! in the result on the server", §4) — which is exactly the behaviour of a
-//! materializing executor whose final operator is a sort.
+//! Every query the server runs goes through the vectorized executor in
+//! [`crate::vexec`]. This module keeps the plain, obviously-correct
+//! definition of each [`Plan`] operator over [`Row`]s, fully materializing
+//! every intermediate result, as the oracle the executor is checked
+//! against: the differential proptests feed random plans through both and
+//! require identical rows and identical wire bytes.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::time::{Duration, Instant};
 
 use sr_data::{Database, Row, Schema, Value};
 
-use crate::cancel::CancelToken;
 use crate::error::EngineError;
-use crate::faults::{FaultInjector, FaultSite};
 use crate::plan::{JoinKind, Plan};
-
-/// Rows processed between cooperative-cancellation checks — one streaming
-/// chunk's worth, so a query over its deadline stops within one chunk
-/// boundary. One clock read per this many rows is amortized to noise.
-const CANCEL_CHECK_ROWS: u64 = 1024;
-
-/// Output statistics for one operator kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpStat {
-    /// Times an operator of this kind ran.
-    pub calls: u64,
-    /// Rows it produced in total.
-    pub rows_out: u64,
-    /// Column batches it produced in total (0 on the tuple path).
-    pub batches: u64,
-}
-
-/// Per-operator execution profile for one (or several) plan executions:
-/// how often each operator kind ran and how many rows it emitted. This is
-/// the server-side half of the paper's "tuples processed" accounting.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecProfile {
-    /// Statistics keyed by operator name (`scan`, `join`, …), sorted.
-    pub ops: BTreeMap<&'static str, OpStat>,
-    /// Output vectors that outgrew their initial reservation (one per
-    /// operator call at most) — the tuple path's allocation-health gauge.
-    pub reallocs: u64,
-    /// Per-batch filter selectivities in ‰ (rows out × 1000 / rows in),
-    /// recorded by the vectorized filter.
-    pub selectivity: Vec<u64>,
-}
-
-impl ExecProfile {
-    pub(crate) fn record(&mut self, op: &'static str, rows_out: usize) {
-        let stat = self.ops.entry(op).or_default();
-        stat.calls += 1;
-        stat.rows_out += rows_out as u64;
-    }
-
-    /// Account `n` output batches to operator kind `op` (vectorized path).
-    pub(crate) fn record_batches(&mut self, op: &'static str, n: usize) {
-        self.ops.entry(op).or_default().batches += n as u64;
-    }
-
-    /// Total rows produced across all operators.
-    pub fn total_rows(&self) -> u64 {
-        self.ops.values().map(|s| s.rows_out).sum()
-    }
-
-    /// Total column batches produced across all operators.
-    pub fn total_batches(&self) -> u64 {
-        self.ops.values().map(|s| s.batches).sum()
-    }
-
-    /// Mirror the profile into a metrics registry as
-    /// `exec.calls.<op>` / `exec.rows.<op>` counters (plus
-    /// `exec.batches.<op>` on the vectorized path), the `exec.batches` /
-    /// `exec.realloc` totals, and the `exec.selectivity` ‰ histogram.
-    pub fn export_to(&self, registry: &sr_obs::MetricsRegistry) {
-        for (op, stat) in &self.ops {
-            registry
-                .counter(&format!("exec.calls.{op}"))
-                .add(stat.calls);
-            registry
-                .counter(&format!("exec.rows.{op}"))
-                .add(stat.rows_out);
-            if stat.batches > 0 {
-                registry
-                    .counter(&format!("exec.batches.{op}"))
-                    .add(stat.batches);
-            }
-        }
-        registry.counter("exec.batches").add(self.total_batches());
-        registry.counter("exec.realloc").add(self.reallocs);
-        for &sel in &self.selectivity {
-            registry.histogram("exec.selectivity").record(sel);
-        }
-    }
-}
-
-/// Execution statistics for one *plan node* (not one operator kind),
-/// addressed by the node's preorder id — see [`Plan::children`] for the id
-/// scheme. This is what `EXPLAIN ANALYZE` renders per operator.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NodeStat {
-    /// Operator kind name (`scan`, `join`, …); empty if the node never ran.
-    pub op: &'static str,
-    /// Times this node was evaluated (CTE definitions run once; a node
-    /// under a re-evaluated subtree could run more).
-    pub calls: u64,
-    /// Rows this node produced in total.
-    pub rows_out: u64,
-    /// Wall time spent in this node *including* its children.
-    pub total_time: Duration,
-    /// Wall time minus the total time of direct children (computed after
-    /// execution by [`execute_analyzed`]).
-    pub self_time: Duration,
-}
-
-/// Per-node execution profile of one analyzed run: `nodes[i]` is the stat
-/// for the plan node with preorder id `i`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanProfile {
-    /// One entry per plan node, indexed by preorder id.
-    pub nodes: Vec<NodeStat>,
-}
-
-/// Mutable execution context threaded through the operator recursion:
-/// always the kind-level [`ExecProfile`], plus per-node stats when running
-/// under [`execute_analyzed`]. Keeping the per-node vector optional means
-/// the normal execution path pays only a branch per operator, not a clock
-/// read.
-pub(crate) struct ExecCtx<'a> {
-    pub(crate) profile: &'a mut ExecProfile,
-    pub(crate) nodes: Option<&'a mut Vec<NodeStat>>,
-    /// Cooperative cancellation, checked every [`CANCEL_CHECK_ROWS`] rows.
-    pub(crate) cancel: &'a CancelToken,
-    /// Fault injection (tests / CLI only; `None` in production).
-    pub(crate) faults: Option<&'a FaultInjector>,
-    /// Rows processed since the last cancellation check.
-    pub(crate) ticks: u64,
-}
-
-impl ExecCtx<'_> {
-    /// Account for `rows` units of work; check the cancel token once per
-    /// [`CANCEL_CHECK_ROWS`]. The fast path is one add and one compare.
-    pub(crate) fn tick(&mut self, rows: u64) -> Result<(), EngineError> {
-        self.ticks += rows;
-        if self.ticks >= CANCEL_CHECK_ROWS {
-            self.ticks = 0;
-            self.cancel.check()?;
-        }
-        Ok(())
-    }
-}
-
-pub(crate) fn op_name(plan: &Plan) -> &'static str {
-    match plan {
-        Plan::Scan { .. } => "scan",
-        Plan::Filter { .. } => "filter",
-        Plan::Project { .. } => "project",
-        Plan::Join { .. } => "join",
-        Plan::OuterUnion { .. } => "outer_union",
-        Plan::Sort { .. } => "sort",
-        Plan::Distinct { .. } => "distinct",
-        Plan::With { .. } => "with",
-        Plan::CteScan { .. } => "cte_scan",
-    }
-}
 
 /// A fully materialized query result.
 #[derive(Debug, Clone)]
@@ -194,141 +42,47 @@ impl ResultSet {
     }
 }
 
-/// Execute a plan against a database.
+/// Evaluate a plan against a database.
 pub fn execute(plan: &Plan, db: &Database) -> Result<ResultSet, EngineError> {
-    Ok(execute_profiled(plan, db)?.0)
+    execute_env(plan, db, &HashMap::new())
 }
 
-/// Execute a plan, also collecting a per-operator [`ExecProfile`].
-pub fn execute_profiled(
-    plan: &Plan,
-    db: &Database,
-) -> Result<(ResultSet, ExecProfile), EngineError> {
-    execute_profiled_with(plan, db, &CancelToken::none(), None)
-}
-
-/// [`execute_profiled`] with cooperative cancellation and (optional) fault
-/// injection: `cancel` is checked once per chunk of rows inside every
-/// operator loop, and `faults` fires at the [`FaultSite::Scan`] site. This
-/// is the entry point every server execution path uses.
-pub fn execute_profiled_with(
-    plan: &Plan,
-    db: &Database,
-    cancel: &CancelToken,
-    faults: Option<&FaultInjector>,
-) -> Result<(ResultSet, ExecProfile), EngineError> {
-    let mut profile = ExecProfile::default();
-    let mut ctx = ExecCtx {
-        profile: &mut profile,
-        nodes: None,
-        cancel,
-        faults,
-        ticks: 0,
-    };
-    let rs = execute_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
-    Ok((rs, profile))
-}
-
-/// Execute a plan collecting, in addition to the kind-level profile, a
-/// timed per-node [`PlanProfile`] — the raw material of `EXPLAIN ANALYZE`.
-/// Self times (total minus direct children) are filled in after the run.
-pub fn execute_analyzed(
-    plan: &Plan,
-    db: &Database,
-) -> Result<(ResultSet, ExecProfile, PlanProfile), EngineError> {
-    let mut profile = ExecProfile::default();
-    let mut nodes = vec![NodeStat::default(); plan.node_count()];
-    let cancel = CancelToken::none();
-    let mut ctx = ExecCtx {
-        profile: &mut profile,
-        nodes: Some(&mut nodes),
-        cancel: &cancel,
-        faults: None,
-        ticks: 0,
-    };
-    let rs = execute_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
-    fill_self_times(plan, 0, &mut nodes);
-    Ok((rs, profile, PlanProfile { nodes }))
-}
-
-/// `self = total − Σ direct children's total`, per node. Saturating: on a
-/// timer-granularity hiccup a child could appear to outlast its parent.
-fn fill_self_times(plan: &Plan, id: usize, nodes: &mut [NodeStat]) {
-    let mut child_id = id + 1;
-    let mut children_total = Duration::ZERO;
-    for child in plan.children() {
-        children_total += nodes[child_id].total_time;
-        fill_self_times(child, child_id, nodes);
-        child_id += child.node_count();
-    }
-    nodes[id].self_time = nodes[id].total_time.saturating_sub(children_total);
-}
-
-/// Execute with a CTE environment (each definition's materialized result,
-/// computed exactly once by the enclosing [`Plan::With`]). `id` is the
-/// node's preorder id, meaningful only when `ctx.nodes` is set.
+/// Evaluate with a CTE environment (each definition's materialized result,
+/// computed exactly once by the enclosing [`Plan::With`]).
 fn execute_env(
     plan: &Plan,
     db: &Database,
     env: &HashMap<String, ResultSet>,
-    ctx: &mut ExecCtx<'_>,
-    id: usize,
-) -> Result<ResultSet, EngineError> {
-    let start = ctx.nodes.is_some().then(Instant::now);
-    let rs = execute_op(plan, db, env, ctx, id)?;
-    ctx.profile.record(op_name(plan), rs.len());
-    if let (Some(start), Some(nodes)) = (start, ctx.nodes.as_deref_mut()) {
-        let stat = &mut nodes[id];
-        stat.op = op_name(plan);
-        stat.calls += 1;
-        stat.rows_out += rs.len() as u64;
-        stat.total_time += start.elapsed();
-    }
-    Ok(rs)
-}
-
-fn execute_op(
-    plan: &Plan,
-    db: &Database,
-    env: &HashMap<String, ResultSet>,
-    ctx: &mut ExecCtx<'_>,
-    id: usize,
 ) -> Result<ResultSet, EngineError> {
     match plan {
-        Plan::Scan { table, alias: _ } => {
-            if let Some(f) = ctx.faults {
-                f.hit(FaultSite::Scan)?;
-            }
-            let t = db.table(table)?;
-            ctx.tick(t.rows().len() as u64)?;
-            Ok(ResultSet {
-                schema: plan.schema(db)?,
-                rows: t.rows().to_vec(),
-            })
-        }
+        Plan::Scan { table, alias: _ } => Ok(ResultSet {
+            schema: plan.schema(db)?,
+            rows: db.table(table)?.rows().to_vec(),
+        }),
         Plan::Filter { input, predicates } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
+            let mut rs = execute_env(input, db, env)?;
             let bound = predicates
                 .iter()
                 .map(|p| p.bind(&rs.schema))
                 .collect::<Result<Vec<_>, _>>()?;
-            ctx.tick(rs.rows.len() as u64)?;
             rs.rows.retain(|r| bound.iter().all(|p| p.eval(r)));
             Ok(rs)
         }
         Plan::Project { input, items } => {
-            let rs = execute_env(input, db, env, ctx, id + 1)?;
+            let rs = execute_env(input, db, env)?;
             let bound = items
                 .iter()
                 .map(|(_, e)| e.bind(&rs.schema))
                 .collect::<Result<Vec<_>, _>>()?;
-            let schema = plan.schema(db)?;
-            let mut rows = Vec::with_capacity(rs.rows.len());
-            for r in &rs.rows {
-                ctx.tick(1)?;
-                rows.push(Row::new(bound.iter().map(|e| e.eval(r).clone()).collect()));
-            }
-            Ok(ResultSet { schema, rows })
+            let rows = rs
+                .rows
+                .iter()
+                .map(|r| Row::new(bound.iter().map(|e| e.eval(r).clone()).collect()))
+                .collect();
+            Ok(ResultSet {
+                schema: plan.schema(db)?,
+                rows,
+            })
         }
         Plan::Join {
             left,
@@ -336,27 +90,18 @@ fn execute_op(
             kind,
             on,
         } => {
-            let lrs = execute_env(left, db, env, ctx, id + 1)?;
-            let rrs = execute_env(right, db, env, ctx, id + 1 + left.node_count())?;
-            let schema = plan.schema(db)?;
-            let rows = hash_join(&lrs, &rrs, *kind, on, ctx)?;
-            Ok(ResultSet { schema, rows })
+            let lrs = execute_env(left, db, env)?;
+            let rrs = execute_env(right, db, env)?;
+            Ok(ResultSet {
+                schema: plan.schema(db)?,
+                rows: hash_join(&lrs, &rrs, *kind, on)?,
+            })
         }
         Plan::OuterUnion { inputs } => {
             let schema = plan.schema(db)?;
-            // Reserve from the oracle's cardinality estimate so the output
-            // vector is sized once up front instead of doubling as branches
-            // append. `exec.realloc` counts when the estimate fell short.
-            let reserve = crate::cost::estimate(plan, db)
-                .map(|e| e.cardinality.ceil() as usize)
-                .unwrap_or(0);
-            let mut rows = Vec::with_capacity(reserve);
-            let cap0 = rows.capacity();
-            let mut child_id = id + 1;
+            let mut rows = Vec::new();
             for input in inputs {
-                let rs = execute_env(input, db, env, ctx, child_id)?;
-                child_id += input.node_count();
-                ctx.tick(rs.rows.len() as u64)?;
+                let rs = execute_env(input, db, env)?;
                 // Map union position -> branch position (None = NULL pad).
                 let mapping: Vec<Option<usize>> =
                     schema.names().map(|n| rs.schema.position(n)).collect();
@@ -372,22 +117,16 @@ fn execute_op(
                     )
                 }));
             }
-            if rows.len() > cap0 {
-                ctx.profile.reallocs += 1;
-            }
             Ok(ResultSet { schema, rows })
         }
         Plan::Sort { input, keys } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
+            let mut rs = execute_env(input, db, env)?;
             let idx: Vec<usize> = keys
                 .iter()
                 .map(|k| rs.schema.require(k).map_err(EngineError::from))
                 .collect::<Result<_, _>>()?;
-            ctx.tick(rs.rows.len() as u64)?;
-            // Precompute each row's key columns once instead of re-reading
-            // them on every comparison. Stable, like the `sort_by` it
-            // replaced — sort elision relies on stability (an already
-            // ordered input must pass through as the identity).
+            // Stable — sort elision relies on stability (an already ordered
+            // input must pass through as the identity).
             rs.rows.sort_by_cached_key(|r| {
                 idx.iter()
                     .map(|&i| r.get(i).clone())
@@ -396,13 +135,12 @@ fn execute_op(
             Ok(rs)
         }
         Plan::Distinct { input } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
+            let mut rs = execute_env(input, db, env)?;
             // Dedup on row hashes with bucket verification: no row clones,
             // first occurrence wins (preserving input order).
             let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(rs.rows.len());
             let mut keep = Vec::with_capacity(rs.rows.len());
             for (i, r) in rs.rows.iter().enumerate() {
-                ctx.tick(1)?;
                 let mut hasher = DefaultHasher::new();
                 r.hash(&mut hasher);
                 let bucket = seen.entry(hasher.finish()).or_default();
@@ -416,17 +154,12 @@ fn execute_op(
             Ok(rs)
         }
         Plan::With { ctes, body } => {
-            // Materialize each definition once, visible to later
-            // definitions and the body — this is the sharing the paper's
-            // with-clause footnote is after.
             let mut local = env.clone();
-            let mut child_id = id + 1;
             for (name, def) in ctes {
-                let rs = execute_env(def, db, &local, ctx, child_id)?;
-                child_id += def.node_count();
+                let rs = execute_env(def, db, &local)?;
                 local.insert(name.clone(), rs);
             }
-            execute_env(body, db, &local, ctx, child_id)
+            execute_env(body, db, &local)
         }
         Plan::CteScan {
             cte,
@@ -468,7 +201,6 @@ fn hash_join(
     right: &ResultSet,
     kind: JoinKind,
     on: &[(String, String)],
-    ctx: &mut ExecCtx<'_>,
 ) -> Result<Vec<Row>, EngineError> {
     let lidx: Vec<usize> = on
         .iter()
@@ -487,7 +219,6 @@ fn hash_join(
                 out.push(l.concat(&Row::nulls(right.schema.arity())));
             }
             for r in &right.rows {
-                ctx.tick(1)?;
                 out.push(l.concat(r));
             }
         }
@@ -508,7 +239,6 @@ fn hash_join(
 
     let mut build: HashMap<u64, Vec<usize>> = HashMap::with_capacity(right.rows.len());
     'rows: for (i, r) in right.rows.iter().enumerate() {
-        ctx.tick(1)?;
         for &c in &ridx {
             if r.get(c).is_null() {
                 continue 'rows;
@@ -522,7 +252,6 @@ fn hash_join(
     let mut out = Vec::new();
     let pad = Row::nulls(right.schema.arity());
     'probe: for l in &left.rows {
-        ctx.tick(1)?;
         for &c in &lidx {
             if l.get(c).is_null() {
                 if kind == JoinKind::LeftOuter {
@@ -554,9 +283,15 @@ fn hash_join(
 
 #[cfg(test)]
 mod tests {
+    //! The reference's own semantics, plus the executor's per-node
+    //! profiling, cancellation and fault sites pinned against the
+    //! reference result on the same fixture.
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::expr::{CmpOp, Expr, Predicate};
+    use crate::vexec::{execute_vectorized_analyzed, execute_vectorized_profiled_with};
     use sr_data::{row, DataType, Table};
+    use std::time::Duration;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -754,43 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn outer_union_reservation_counts_reallocs() {
-        let db = db();
-        // A plain two-branch union over base scans: the oracle knows exact
-        // base-table cardinalities, so the reservation holds and the
-        // realloc counter stays at zero.
-        let a = Plan::scan("Supplier", "s").project(vec![("k".into(), Expr::col("s_suppkey"))]);
-        let b = Plan::scan("PartSupp", "ps").project(vec![("k".into(), Expr::col("ps_suppkey"))]);
-        let u = Plan::OuterUnion {
-            inputs: vec![a.clone(), b],
-        };
-        let (rs, profile) = execute_profiled(&u, &db).unwrap();
-        assert_eq!(rs.len(), 6);
-        assert_eq!(profile.reallocs, 0, "exact estimate ⇒ no realloc");
-
-        // A cross-join branch under a selective filter: the oracle's
-        // default selectivity underestimates the actual fan-out, the
-        // reservation falls short, and the counter proves the realloc.
-        let fanout = Plan::scan("Supplier", "s")
-            .join(Plan::scan("PartSupp", "ps"), JoinKind::Inner, vec![])
-            .filter(vec![Predicate::new(
-                Expr::col("s_suppkey"),
-                CmpOp::Le,
-                Expr::lit(1000i64),
-            )])
-            .project(vec![("k".into(), Expr::col("s_suppkey"))]);
-        let u = Plan::OuterUnion {
-            inputs: vec![fanout],
-        };
-        let (rs, profile) = execute_profiled(&u, &db).unwrap();
-        assert_eq!(rs.len(), 9, "filter keeps everything");
-        assert!(
-            profile.reallocs >= 1,
-            "under-estimated union must report a realloc"
-        );
-    }
-
-    #[test]
     fn analyzed_execution_fills_per_node_stats() {
         let db = db();
         // 0=Sort, 1=Join, 2=Scan Supplier, 3=Scan PartSupp
@@ -801,8 +499,8 @@ mod tests {
                 vec![("s_suppkey".into(), "ps_suppkey".into())],
             )
             .sort(vec!["s_suppkey".into()]);
-        let (rs, profile, plan_profile) = execute_analyzed(&p, &db).unwrap();
-        assert_eq!(rs.len(), 3);
+        let (rs, profile, plan_profile) = execute_vectorized_analyzed(&p, &db).unwrap();
+        assert_eq!(rs.row_count(), 3);
         let n = &plan_profile.nodes;
         assert_eq!(n.len(), 4);
         assert_eq!(
@@ -822,9 +520,9 @@ mod tests {
         for s in n {
             assert!(s.self_time <= s.total_time);
         }
-        // Analyzed and plain execution agree on the result.
+        // The analyzed run agrees with the reference on the result.
         let plain = execute(&p, &db).unwrap();
-        assert_eq!(plain.rows, rs.rows);
+        assert_eq!(plain.rows, rs.to_rows());
     }
 
     #[test]
@@ -851,7 +549,7 @@ mod tests {
             ctes: vec![("c".into(), def)],
             body: Box::new(body),
         };
-        let (_, _, pp) = execute_analyzed(&p, &db).unwrap();
+        let (_, _, pp) = execute_vectorized_analyzed(&p, &db).unwrap();
         assert_eq!(
             pp.nodes.iter().map(|s| s.op).collect::<Vec<_>>(),
             vec!["with", "scan", "join", "cte_scan", "cte_scan"]
@@ -887,7 +585,7 @@ mod tests {
     fn cancelled_token_stops_execution() {
         let db = db();
         let p = Plan::scan("Supplier", "s").sort(vec!["s_suppkey".into()]);
-        let token = crate::cancel::CancelToken::unbounded();
+        let token = CancelToken::unbounded();
         token.cancel();
         // The per-chunk check only fires after CANCEL_CHECK_ROWS of work,
         // so drive enough rows through a cross-join to guarantee a check.
@@ -898,20 +596,20 @@ mod tests {
             .join(Plan::scan("PartSupp", "d"), JoinKind::Inner, vec![])
             .join(Plan::scan("PartSupp", "e"), JoinKind::Inner, vec![])
             .join(Plan::scan("PartSupp", "f"), JoinKind::Inner, vec![]);
-        match execute_profiled_with(&big, &db, &token, None) {
+        match execute_vectorized_profiled_with(&big, &db, &token, None) {
             Err(EngineError::Cancelled) => {}
             other => panic!("expected cancellation, got {other:?}"),
         }
         // An uncancelled token executes normally.
         let (rs, _) =
-            execute_profiled_with(&p, &db, &crate::cancel::CancelToken::unbounded(), None).unwrap();
-        assert_eq!(rs.len(), 3);
+            execute_vectorized_profiled_with(&p, &db, &CancelToken::unbounded(), None).unwrap();
+        assert_eq!(rs.to_rows(), execute(&p, &db).unwrap().rows);
     }
 
     #[test]
     fn expired_deadline_stops_execution_mid_plan() {
         let db = db();
-        let token = crate::cancel::CancelToken::with_timeout(Duration::ZERO);
+        let token = CancelToken::with_timeout(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
         let big = Plan::scan("Supplier", "s")
             .join(Plan::scan("PartSupp", "a"), JoinKind::Inner, vec![])
@@ -920,7 +618,7 @@ mod tests {
             .join(Plan::scan("PartSupp", "d"), JoinKind::Inner, vec![])
             .join(Plan::scan("PartSupp", "e"), JoinKind::Inner, vec![])
             .join(Plan::scan("PartSupp", "f"), JoinKind::Inner, vec![]);
-        match execute_profiled_with(&big, &db, &token, None) {
+        match execute_vectorized_profiled_with(&big, &db, &token, None) {
             Err(EngineError::Timeout { limit_ms, .. }) => assert_eq!(limit_ms, 0),
             other => panic!("expected timeout, got {other:?}"),
         }
@@ -932,14 +630,13 @@ mod tests {
         let db = db();
         let inj = FaultInjector::new(FaultPlan::parse("transient@scan#1", 0).unwrap());
         let p = Plan::scan("Supplier", "s");
-        match execute_profiled_with(&p, &db, &crate::cancel::CancelToken::none(), Some(&inj)) {
+        match execute_vectorized_profiled_with(&p, &db, &CancelToken::none(), Some(&inj)) {
             Err(EngineError::Transient(m)) => assert!(m.contains("scan"), "{m}"),
             other => panic!("expected transient, got {other:?}"),
         }
         // The rule fired on hit 1; the same injector now passes.
         let (rs, _) =
-            execute_profiled_with(&p, &db, &crate::cancel::CancelToken::none(), Some(&inj))
-                .unwrap();
-        assert_eq!(rs.len(), 3);
+            execute_vectorized_profiled_with(&p, &db, &CancelToken::none(), Some(&inj)).unwrap();
+        assert_eq!(rs.to_rows(), execute(&p, &db).unwrap().rows);
     }
 }

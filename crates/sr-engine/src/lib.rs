@@ -39,10 +39,7 @@ pub use analyze::{q_error, AnalyzedNode, ExplainAnalysis};
 pub use cancel::CancelToken;
 pub use cost::{estimate, estimate_with_nodes, ColInfo, Estimate};
 pub use error::EngineError;
-pub use exec::{
-    execute, execute_analyzed, execute_profiled, execute_profiled_with, ExecProfile, NodeStat,
-    OpStat, PlanProfile, ResultSet,
-};
+pub use exec::{execute, ResultSet};
 pub use expr::{CmpOp, Expr, Predicate};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, FaultTrigger};
 pub use optimize::push_filters;
@@ -51,6 +48,6 @@ pub use plan::{JoinKind, Plan};
 pub use server::{FragmentCacheInfo, QueryPhases, Server, TupleStream};
 pub use shard::{range_boundaries, split_plan, ShardPlan};
 pub use vexec::{
-    execute_vectorized, execute_vectorized_profiled, execute_vectorized_profiled_with, ExecMode,
-    VecResultSet,
+    execute_vectorized, execute_vectorized_analyzed, execute_vectorized_profiled,
+    execute_vectorized_profiled_with, ExecProfile, NodeStat, OpStat, PlanProfile, VecResultSet,
 };

@@ -24,14 +24,15 @@ use crate::analyze::ExplainAnalysis;
 use crate::cancel::CancelToken;
 use crate::cost::{estimate, estimate_with_nodes, Estimate};
 use crate::error::EngineError;
-use crate::exec::{execute_analyzed, execute_profiled_with, ExecProfile, ResultSet};
 use crate::faults::{FaultInjector, FaultPlan, FaultSite};
 use crate::ordering::elide_sorts;
 use crate::plan::Plan;
 use crate::shard::split_plan;
 use crate::sql::binder::plan_sql;
-use crate::vexec::{execute_vectorized_profiled_with, ExecMode, VecResultSet};
-use crate::wire::{decode_row, encode_batch, encode_batch_into, encode_rows};
+use crate::vexec::{
+    execute_vectorized_analyzed, execute_vectorized_profiled_with, ExecProfile, VecResultSet,
+};
+use crate::wire::{decode_row, encode_batch, encode_batch_into};
 
 /// Lock a mutex, recovering the data from a poisoned one. Every mutex in
 /// this module guards state that is updated atomically *under* the lock
@@ -89,69 +90,21 @@ fn record_shard_skew(metrics: &MetricsRegistry, rows_per_shard: &[u64]) {
 /// `base × 2^(n-1)`.
 const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
 
-/// One query's materialized output in whichever representation the
-/// configured [`ExecMode`] produced. Both variants encode to identical
-/// wire bytes; the columnar variant pivots to row form only here, at the
-/// encoder — the late-materialization boundary.
-enum QueryOutput {
-    /// Tuple-path rows.
-    Rows(ResultSet),
-    /// Columnar batches from the vectorized path.
-    Batches(VecResultSet),
-}
-
-impl QueryOutput {
-    fn row_count(&self) -> usize {
-        match self {
-            QueryOutput::Rows(rs) => rs.rows.len(),
-            QueryOutput::Batches(vs) => vs.row_count(),
-        }
+/// Encode a whole result into one buffer (the buffered path). The wire
+/// format is self-delimiting, so this equals the concatenation of the
+/// per-batch chunks the streaming paths ship.
+fn encode_all(vs: &VecResultSet) -> Bytes {
+    let mut buf = BytesMut::with_capacity(vs.wire_bytes() + 4 * vs.row_count());
+    for b in &vs.batches {
+        encode_batch_into(b, &mut buf);
     }
-
-    /// Number of wire chunks this output encodes to. Tuple results chunk
-    /// by `chunk_rows`; columnar results ship one chunk per batch (batches
-    /// are already bounded by `BATCH_ROWS`, which equals
-    /// [`STREAM_CHUNK_ROWS`]). Chunk *boundaries* may differ between the
-    /// modes — the concatenated bytes never do.
-    fn chunk_count(&self, chunk_rows: usize) -> usize {
-        match self {
-            QueryOutput::Rows(rs) => rs.rows.len().div_ceil(chunk_rows),
-            QueryOutput::Batches(vs) => vs.batches.len(),
-        }
-    }
-
-    /// Encode chunk `i` of [`QueryOutput::chunk_count`].
-    fn encode_chunk(&self, i: usize, chunk_rows: usize) -> Bytes {
-        match self {
-            QueryOutput::Rows(rs) => {
-                let start = i * chunk_rows;
-                let end = (start + chunk_rows).min(rs.rows.len());
-                encode_rows(&rs.rows[start..end])
-            }
-            QueryOutput::Batches(vs) => encode_batch(&vs.batches[i]),
-        }
-    }
-
-    /// Encode the whole result into one buffer (the buffered path).
-    fn encode_all(&self) -> Bytes {
-        match self {
-            QueryOutput::Rows(rs) => encode_rows(&rs.rows),
-            QueryOutput::Batches(vs) => {
-                let mut buf = BytesMut::with_capacity(vs.wire_bytes() + 4 * vs.row_count());
-                for b in &vs.batches {
-                    encode_batch_into(b, &mut buf);
-                }
-                buf.freeze()
-            }
-        }
-    }
+    buf.freeze()
 }
 
 /// Execute with bounded retry on [`EngineError::Transient`]: each retry
 /// backs off exponentially, bumps `server.retries`, and re-checks the
 /// cancel token so retrying never outlives the query's deadline. All
-/// other errors (and success) pass straight through. `mode` selects the
-/// tuple or vectorized executor; both feed the same retry loop.
+/// other errors (and success) pass straight through.
 fn run_query_with_retry(
     plan: &Plan,
     db: &Database,
@@ -159,17 +112,10 @@ fn run_query_with_retry(
     faults: Option<&FaultInjector>,
     retries: u32,
     metrics: &MetricsRegistry,
-    mode: ExecMode,
-) -> Result<(QueryOutput, ExecProfile), EngineError> {
+) -> Result<(VecResultSet, ExecProfile), EngineError> {
     let mut attempt = 0u32;
     loop {
-        let result = match mode {
-            ExecMode::Tuple => execute_profiled_with(plan, db, token, faults)
-                .map(|(rs, p)| (QueryOutput::Rows(rs), p)),
-            ExecMode::Vectorized => execute_vectorized_profiled_with(plan, db, token, faults)
-                .map(|(vs, p)| (QueryOutput::Batches(vs), p)),
-        };
-        match result {
+        match execute_vectorized_profiled_with(plan, db, token, faults) {
             Err(EngineError::Transient(_)) if attempt < retries => {
                 attempt += 1;
                 metrics.counter("server.retries").inc();
@@ -181,8 +127,48 @@ fn run_query_with_retry(
     }
 }
 
-/// Rows per encoded chunk shipped over the streaming channel.
-const STREAM_CHUNK_ROWS: usize = 1024;
+/// Record one completed execution's counters and phase histograms.
+fn record_query(
+    metrics: &MetricsRegistry,
+    rows: usize,
+    bytes: usize,
+    phases: &QueryPhases,
+    profile: &ExecProfile,
+) {
+    metrics.counter("server.queries").inc();
+    metrics.counter("server.rows").add(rows as u64);
+    metrics.counter("server.bytes").add(bytes as u64);
+    metrics
+        .histogram("server.parse_bind_ns")
+        .record_duration(phases.parse_bind);
+    metrics
+        .histogram("server.execute_ns")
+        .record_duration(phases.execute);
+    metrics
+        .histogram("server.encode_ns")
+        .record_duration(phases.encode);
+    metrics
+        .histogram("server.query_ns")
+        .record_duration(phases.total());
+    profile.export_to(metrics);
+}
+
+/// The post-hoc deadline backstop: a query whose server time overran the
+/// limit fails with [`EngineError::Timeout`] (bumping `server.timeouts`)
+/// even if no cooperative check caught it mid-flight.
+fn overran(
+    metrics: &MetricsRegistry,
+    timeout: Option<Duration>,
+    query_time: Duration,
+) -> Option<EngineError> {
+    let limit = timeout.filter(|&limit| query_time > limit)?;
+    metrics.counter("server.timeouts").inc();
+    Some(EngineError::Timeout {
+        elapsed_ms: query_time.as_millis() as u64,
+        limit_ms: limit.as_millis() as u64,
+    })
+}
+
 /// Bounded-channel depth: the producer runs at most this many chunks ahead
 /// of the consumer, keeping in-flight memory proportional to chunk size.
 const STREAM_CHANNEL_BOUND: usize = 8;
@@ -295,28 +281,51 @@ enum StreamItem {
 enum StreamSource {
     /// Fully materialized upfront ([`Server::execute_sql`]).
     Buffered(Bytes),
-    /// Fed incrementally by a worker thread
-    /// ([`Server::execute_sql_streaming`]).
+    /// Fed incrementally over bounded channels
+    /// ([`Server::execute_sql_streaming`]): one per key-range shard — a
+    /// single one when the query runs unsharded — consumed in order. The
+    /// shards partition the sort-key range, so this sequential
+    /// concatenation *is* the order-preserving k-way merge: later shards
+    /// fill their bounded channels and park while an earlier shard drains.
+    /// Per-part summaries are aggregated into the stream's metadata at the
+    /// final `Done`.
     Channel {
-        rx: Receiver<StreamItem>,
-        current: Bytes,
-        finished: bool,
-    },
-    /// Fed by `k` range-shard workers, one channel per shard, consumed in
-    /// shard order. The shards partition the sort-key range, so this
-    /// sequential concatenation *is* the order-preserving k-way merge —
-    /// later shards fill their bounded channels and park while an earlier
-    /// shard drains. Per-shard summaries are aggregated into the stream's
-    /// metadata at the final `Done`.
-    Shards {
         parts: Vec<Receiver<StreamItem>>,
         idx: usize,
         current: Bytes,
         finished: bool,
         agg: StreamSummary,
         rows_per_shard: Vec<u64>,
-        metrics: Arc<MetricsRegistry>,
+        /// Set for sharded streams: `shard.skew` is recorded here once the
+        /// last shard drains.
+        skew_metrics: Option<Arc<MetricsRegistry>>,
     },
+}
+
+impl StreamSource {
+    fn channel(
+        parts: Vec<Receiver<StreamItem>>,
+        skew_metrics: Option<Arc<MetricsRegistry>>,
+    ) -> StreamSource {
+        StreamSource::Channel {
+            rows_per_shard: Vec::with_capacity(parts.len()),
+            parts,
+            idx: 0,
+            current: Bytes::new(),
+            finished: false,
+            agg: StreamSummary::default(),
+            skew_metrics,
+        }
+    }
+
+    /// A channel pre-loaded with every item of a finished execution.
+    fn queued(items: Vec<StreamItem>) -> StreamSource {
+        let (tx, rx) = sync_channel(items.len());
+        for item in items {
+            let _ = tx.send(item);
+        }
+        StreamSource::channel(vec![rx], None)
+    }
 }
 
 /// A sorted tuple stream returned by the server.
@@ -351,6 +360,11 @@ pub struct TupleStream {
     pub stall_time: Duration,
     /// Rows decoded by the client so far.
     pub rows_decoded: usize,
+    /// Whether the statement skipped planning: its optimized plan came out
+    /// of the prepared-plan cache, or its whole result out of the fragment
+    /// cache. Per stream, so concurrent requests never see each other's
+    /// hits.
+    pub cache_hit: bool,
     source: StreamSource,
     /// In-flight fragment-cache capture (streaming cache miss only): chunks
     /// are teed here as they are decoded and committed on a clean `Done`.
@@ -373,6 +387,26 @@ struct StreamTrace {
 }
 
 impl TupleStream {
+    /// A stream with no rows decoded yet and no metadata; the streaming
+    /// sources fill the metadata in at their terminal `Done`.
+    fn new(schema: Schema, source: StreamSource, cancel: CancelToken) -> TupleStream {
+        TupleStream {
+            schema,
+            row_count: 0,
+            byte_size: 0,
+            query_time: Duration::ZERO,
+            phases: QueryPhases::default(),
+            transfer_time: Duration::ZERO,
+            stall_time: Duration::ZERO,
+            rows_decoded: 0,
+            cache_hit: false,
+            source,
+            capture: None,
+            trace: None,
+            cancel,
+        }
+    }
+
     /// Attach the stream to a tracer: a named virtual lane
     /// (`stream <label>`) is allocated and subsequent stall intervals and
     /// decode-progress counters are recorded onto it.
@@ -406,185 +440,119 @@ impl TupleStream {
     /// Decode the next row, or `None` at end of stream.
     pub fn next_row(&mut self) -> Result<Option<Row>, EngineError> {
         loop {
-            match &mut self.source {
-                StreamSource::Buffered(data) => {
-                    let start = Instant::now();
-                    let row = decode_row(data);
-                    self.transfer_time += start.elapsed();
-                    if let Ok(Some(_)) = &row {
-                        self.rows_decoded += 1;
-                    }
-                    return row;
-                }
-                StreamSource::Channel {
-                    rx,
-                    current,
-                    finished,
-                } => {
-                    if current.has_remaining() {
+            let (parts, idx, current, finished, agg, rows_per_shard, skew_metrics) =
+                match &mut self.source {
+                    StreamSource::Buffered(data) => {
                         let start = Instant::now();
-                        let row = decode_row(current);
+                        let row = decode_row(data);
                         self.transfer_time += start.elapsed();
                         if let Ok(Some(_)) = &row {
                             self.rows_decoded += 1;
                         }
                         return row;
                     }
-                    if *finished {
-                        return Ok(None);
-                    }
+                    StreamSource::Channel {
+                        parts,
+                        idx,
+                        current,
+                        finished,
+                        agg,
+                        rows_per_shard,
+                        skew_metrics,
+                    } => (
+                        parts,
+                        idx,
+                        current,
+                        finished,
+                        agg,
+                        rows_per_shard,
+                        skew_metrics,
+                    ),
+                };
+            if current.has_remaining() {
+                let start = Instant::now();
+                let row = decode_row(current);
+                self.transfer_time += start.elapsed();
+                if let Ok(Some(_)) = &row {
+                    self.rows_decoded += 1;
+                }
+                return row;
+            }
+            if *finished {
+                return Ok(None);
+            }
+            if let Some(tr) = &self.trace {
+                tr.tracer.begin(tr.lane, "stream.stall", None);
+            }
+            let wait = Instant::now();
+            let item = parts[*idx].recv();
+            self.stall_time += wait.elapsed();
+            if let Some(tr) = &self.trace {
+                tr.tracer.end(tr.lane, "stream.stall");
+            }
+            match item {
+                Ok(StreamItem::Chunk(bytes)) => {
                     if let Some(tr) = &self.trace {
-                        tr.tracer.begin(tr.lane, "stream.stall", None);
+                        tr.tracer
+                            .counter(tr.lane, "stream.rows_decoded", self.rows_decoded as f64);
                     }
-                    let wait = Instant::now();
-                    let item = rx.recv();
-                    self.stall_time += wait.elapsed();
-                    if let Some(tr) = &self.trace {
-                        tr.tracer.end(tr.lane, "stream.stall");
+                    if let Some(cap) = &mut self.capture {
+                        if !cap.push(&bytes) {
+                            self.capture = None;
+                        }
                     }
-                    match item {
-                        Ok(StreamItem::Chunk(bytes)) => {
-                            if let Some(tr) = &self.trace {
-                                tr.tracer.counter(
-                                    tr.lane,
-                                    "stream.rows_decoded",
-                                    self.rows_decoded as f64,
-                                );
-                            }
-                            if let Some(cap) = &mut self.capture {
-                                if !cap.push(&bytes) {
-                                    self.capture = None;
-                                }
-                            }
-                            *current = bytes;
+                    *current = bytes;
+                }
+                Ok(StreamItem::Done(sum)) => {
+                    // One part drained cleanly: fold its summary in and
+                    // advance to the next part's channel.
+                    rows_per_shard.push(sum.row_count as u64);
+                    agg.row_count += sum.row_count;
+                    agg.byte_size += sum.byte_size;
+                    agg.query_time += sum.query_time;
+                    agg.phases.parse_bind += sum.phases.parse_bind;
+                    agg.phases.optimize += sum.phases.optimize;
+                    agg.phases.execute += sum.phases.execute;
+                    agg.phases.encode += sum.phases.encode;
+                    *idx += 1;
+                    if *idx == parts.len() {
+                        if let Some(tr) = &self.trace {
+                            tr.tracer.instant(tr.lane, "stream.done", None);
                         }
-                        Ok(StreamItem::Done(sum)) => {
-                            if let Some(tr) = &self.trace {
-                                tr.tracer.instant(tr.lane, "stream.done", None);
-                            }
-                            *finished = true;
-                            self.row_count = sum.row_count;
-                            self.byte_size = sum.byte_size;
-                            self.query_time = sum.query_time;
-                            self.phases = sum.phases;
-                            // Clean end of stream: the captured chunks are
-                            // the complete result — commit them.
-                            if let Some(cap) = self.capture.take() {
-                                cap.commit(sum.row_count, sum.byte_size);
-                            }
+                        *finished = true;
+                        if let Some(m) = skew_metrics {
+                            record_shard_skew(m, rows_per_shard);
                         }
-                        Ok(StreamItem::Failed(e)) => {
-                            self.capture = None;
-                            *finished = true;
-                            return Err(e);
-                        }
-                        Err(_) => {
-                            self.capture = None;
-                            // The sender is gone without a terminal item.
-                            // With panic isolation in place this only
-                            // happens on a genuine abort — surface it as a
-                            // hard truncation, never as a clean (but
-                            // silently short) end of stream.
-                            *finished = true;
-                            return Err(EngineError::TruncatedStream {
-                                rows_decoded: self.rows_decoded,
-                            });
+                        self.row_count = agg.row_count;
+                        self.byte_size = agg.byte_size;
+                        self.query_time = agg.query_time;
+                        self.phases = agg.phases;
+                        // Clean end of stream: the captured chunks are the
+                        // complete (merged) result — commit them.
+                        if let Some(cap) = self.capture.take() {
+                            cap.commit(agg.row_count, agg.byte_size);
                         }
                     }
                 }
-                StreamSource::Shards {
-                    parts,
-                    idx,
-                    current,
-                    finished,
-                    agg,
-                    rows_per_shard,
-                    metrics,
-                } => {
-                    if current.has_remaining() {
-                        let start = Instant::now();
-                        let row = decode_row(current);
-                        self.transfer_time += start.elapsed();
-                        if let Ok(Some(_)) = &row {
-                            self.rows_decoded += 1;
-                        }
-                        return row;
-                    }
-                    if *finished {
-                        return Ok(None);
-                    }
-                    if let Some(tr) = &self.trace {
-                        tr.tracer.begin(tr.lane, "stream.stall", None);
-                    }
-                    let wait = Instant::now();
-                    let item = parts[*idx].recv();
-                    self.stall_time += wait.elapsed();
-                    if let Some(tr) = &self.trace {
-                        tr.tracer.end(tr.lane, "stream.stall");
-                    }
-                    match item {
-                        Ok(StreamItem::Chunk(bytes)) => {
-                            if let Some(tr) = &self.trace {
-                                tr.tracer.counter(
-                                    tr.lane,
-                                    "stream.rows_decoded",
-                                    self.rows_decoded as f64,
-                                );
-                            }
-                            if let Some(cap) = &mut self.capture {
-                                if !cap.push(&bytes) {
-                                    self.capture = None;
-                                }
-                            }
-                            *current = bytes;
-                        }
-                        Ok(StreamItem::Done(sum)) => {
-                            // One shard drained cleanly: fold its summary
-                            // in and advance to the next shard's channel.
-                            rows_per_shard.push(sum.row_count as u64);
-                            agg.row_count += sum.row_count;
-                            agg.byte_size += sum.byte_size;
-                            agg.query_time += sum.query_time;
-                            agg.phases.parse_bind += sum.phases.parse_bind;
-                            agg.phases.optimize += sum.phases.optimize;
-                            agg.phases.execute += sum.phases.execute;
-                            agg.phases.encode += sum.phases.encode;
-                            *idx += 1;
-                            if *idx == parts.len() {
-                                if let Some(tr) = &self.trace {
-                                    tr.tracer.instant(tr.lane, "stream.done", None);
-                                }
-                                *finished = true;
-                                record_shard_skew(metrics, rows_per_shard);
-                                self.row_count = agg.row_count;
-                                self.byte_size = agg.byte_size;
-                                self.query_time = agg.query_time;
-                                self.phases = agg.phases;
-                                // All shards drained cleanly — the capture
-                                // holds the full merged chunk sequence.
-                                let (rows, bytes) = (agg.row_count, agg.byte_size);
-                                if let Some(cap) = self.capture.take() {
-                                    cap.commit(rows, bytes);
-                                }
-                            }
-                        }
-                        Ok(StreamItem::Failed(e)) => {
-                            // Stop the sibling shard workers too: the
-                            // stream is dead, their output has no consumer.
-                            self.capture = None;
-                            self.cancel.cancel();
-                            *finished = true;
-                            return Err(e);
-                        }
-                        Err(_) => {
-                            self.capture = None;
-                            self.cancel.cancel();
-                            *finished = true;
-                            return Err(EngineError::TruncatedStream {
-                                rows_decoded: self.rows_decoded,
-                            });
-                        }
-                    }
+                Ok(StreamItem::Failed(e)) => {
+                    // Stop any sibling shard workers too: the stream is
+                    // dead, their output has no consumer.
+                    self.capture = None;
+                    self.cancel.cancel();
+                    *finished = true;
+                    return Err(e);
+                }
+                Err(_) => {
+                    // The sender is gone without a terminal item. With
+                    // panic isolation in place this only happens on a
+                    // genuine abort — surface it as a hard truncation,
+                    // never as a clean (but silently short) end of stream.
+                    self.capture = None;
+                    self.cancel.cancel();
+                    *finished = true;
+                    return Err(EngineError::TruncatedStream {
+                        rows_decoded: self.rows_decoded,
+                    });
                 }
             }
         }
@@ -655,9 +623,6 @@ pub struct Server {
     /// Key-range shards per streaming query (1 = unsharded). Queries whose
     /// plan cannot be sharded safely fall back to one shard silently.
     shards: usize,
-    /// Which executor runs queries: row-at-a-time tuple (default) or
-    /// batch-at-a-time vectorized. Wire output is identical either way.
-    exec_mode: ExecMode,
     /// Materialized-fragment cache (`None` = disabled): wire-encoded
     /// results of component queries, served back without re-execution.
     /// Shared behind an `Arc` so in-flight captures outlive the borrow of
@@ -743,9 +708,8 @@ impl PlanCache {
 
 /// One cached materialized fragment: the wire-encoded chunks of a component
 /// query's full result, plus the stream metadata a warm hit must replay.
-/// On the vectorized path each chunk is one encoded columnar batch; the
-/// concatenated bytes are identical either way, so a fragment cached under
-/// one chunking serves byte-identical streams.
+/// Each chunk is one encoded columnar batch; a fragment captured by the
+/// buffered path is one chunk holding the same concatenated bytes.
 #[derive(Debug)]
 struct CachedFragment {
     schema: Schema,
@@ -758,8 +722,8 @@ struct CachedFragment {
 
 /// The materialized-fragment cache: a byte-budgeted map with the same
 /// logical-clock LRU discipline as [`PlanCache`], holding encoded results
-/// instead of plans. Keyed by exec mode + shard spec + SQL — the three
-/// inputs that determine the produced chunk sequence. Invalidated together
+/// instead of plans. Keyed by shard spec + SQL — the two inputs that
+/// determine the produced chunk sequence. Invalidated together
 /// with the plan cache ([`Server::set_database`] /
 /// [`Server::invalidate_plan_cache`]): a fragment is only sound while the
 /// database is unchanged.
@@ -769,6 +733,14 @@ struct FragmentCache {
     clock: u64,
     budget: usize,
     bytes: usize,
+}
+
+/// A fragment-cache hit: what a warm stream replays.
+struct FragmentHit {
+    schema: Schema,
+    chunks: Vec<Bytes>,
+    row_count: usize,
+    byte_size: usize,
 }
 
 /// A point-in-time view of the fragment cache for STATS exposition.
@@ -792,14 +764,19 @@ impl FragmentCache {
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<(Schema, Vec<Bytes>, usize, usize)> {
+    fn get(&mut self, key: &str) -> Option<FragmentHit> {
         self.clock += 1;
         let clock = self.clock;
         self.map.get_mut(key).map(|f| {
             f.last_used = clock;
             // `Bytes` clones are refcounted slices — a hit copies pointers,
             // not payload.
-            (f.schema.clone(), f.chunks.clone(), f.row_count, f.byte_size)
+            FragmentHit {
+                schema: f.schema.clone(),
+                chunks: f.chunks.clone(),
+                row_count: f.row_count,
+                byte_size: f.byte_size,
+            }
         })
     }
 
@@ -922,7 +899,6 @@ impl Server {
             fault_plan: None,
             transient_retries: DEFAULT_TRANSIENT_RETRIES,
             shards: 1,
-            exec_mode: ExecMode::Tuple,
             fragment_cache: None,
         }
     }
@@ -955,14 +931,14 @@ impl Server {
         })
     }
 
-    /// The cache key for one fragment: exec mode, shard spec, and SQL — the
-    /// three inputs that determine the produced byte stream's chunking.
+    /// The cache key for one fragment: shard spec and SQL — the two inputs
+    /// that determine the produced byte stream's chunking.
     fn fragment_key(&self, sql: &str) -> String {
-        format!("{:?}|k{}|{}", self.exec_mode, self.shards, sql)
+        format!("k{}|{}", self.shards, sql)
     }
 
     /// Look up `sql` in the fragment cache, bumping hit/miss counters.
-    fn fragment_lookup(&self, sql: &str) -> Option<(Schema, Vec<Bytes>, usize, usize)> {
+    fn fragment_lookup(&self, sql: &str) -> Option<FragmentHit> {
         let fc = self.fragment_cache.as_ref()?;
         let hit = lock_recover(fc).get(&self.fragment_key(sql));
         if hit.is_some() {
@@ -989,19 +965,11 @@ impl Server {
         })
     }
 
-    /// Select the execution path: row-at-a-time [`ExecMode::Tuple`]
-    /// (default) or batch-at-a-time [`ExecMode::Vectorized`]. Every path —
-    /// buffered, streaming, inline, sharded — honours the mode, and the
-    /// encoded bytes are identical in both; only the executor (and its
-    /// performance profile) changes.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// The configured execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
+    /// The name of the executor every query runs on (the batch-at-a-time
+    /// columnar one in [`crate::vexec`]), as STATS and the query log
+    /// report it.
+    pub fn exec_mode(&self) -> &'static str {
+        "vectorized"
     }
 
     /// Set the per-query timeout.
@@ -1136,9 +1104,11 @@ impl Server {
     /// `server.streams`, `server.analyze`, `server.rows`, `server.bytes`,
     /// `server.estimates`, `server.timeouts`, `server.plan_cache_hits`,
     /// `server.panics`, `server.cancelled`, `server.retries`,
-    /// `cache.evictions`, `exec.sorts_elided`, `exec.{calls,rows}.<op>`.
-    /// Histograms: `server.<phase>_ns`, `server.query_ns`,
-    /// `server.estimate_ns`, `oracle.qerror` (Q-error ×1000).
+    /// `cache.evictions`, `exec.sorts_elided`,
+    /// `exec.{calls,rows,batches}.<op>`, `exec.batches`. Histograms:
+    /// `server.<phase>_ns`, `server.query_ns`, `server.estimate_ns`,
+    /// `exec.selectivity`, `oracle.qerror` (Q-error ×1000). The full
+    /// catalog is in `docs/OBSERVABILITY.md`.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -1152,19 +1122,19 @@ impl Server {
     /// do — predicate push-down, then sort elision. Returns the plan and the
     /// number of sorts elided (exposed for tests and plan inspection).
     pub fn optimized_plan(&self, sql: &str) -> Result<(Plan, usize), EngineError> {
-        let (plan, _, elided) = self.plan_cached(sql)?;
+        let (plan, _, elided, _) = self.plan_cached(sql)?;
         Ok((plan, elided))
     }
 
     /// Plan `sql` through the prepared-plan cache: a hit clones the stored
     /// optimized plan; a miss runs parse → bind → predicate push-down →
-    /// sort elision and stores the result. `server.plan_cache_hits` counts
-    /// the hits.
-    fn plan_cached(&self, sql: &str) -> Result<(Plan, Schema, usize), EngineError> {
+    /// sort elision and stores the result. The last field reports whether
+    /// this call hit; `server.plan_cache_hits` counts the hits.
+    fn plan_cached(&self, sql: &str) -> Result<(Plan, Schema, usize, bool), EngineError> {
         if self.plan_cache_enabled {
-            if let Some(hit) = lock_recover(&self.plan_cache).get(sql) {
+            if let Some((plan, schema, elided)) = lock_recover(&self.plan_cache).get(sql) {
                 self.metrics.counter("server.plan_cache_hits").inc();
-                return Ok(hit);
+                return Ok((plan, schema, elided, true));
             }
         }
         let plan = plan_sql(sql, &self.db)?;
@@ -1184,7 +1154,7 @@ impl Server {
             );
             self.metrics.counter("cache.evictions").add(evicted);
         }
-        Ok((plan, schema, elided))
+        Ok((plan, schema, elided, false))
     }
 
     /// Execute a SQL string, returning a fully buffered tuple stream: the
@@ -1192,23 +1162,22 @@ impl Server {
     /// returns. See [`Server::execute_sql_streaming`] for the pipelined
     /// variant.
     pub fn execute_sql(&self, sql: &str) -> Result<TupleStream, EngineError> {
-        if let Some((schema, chunks, row_count, byte_size)) = self.fragment_lookup(sql) {
-            return Ok(self.serve_cached_fragment_buffered(schema, chunks, row_count, byte_size));
+        if let Some(frag) = self.fragment_lookup(sql) {
+            return Ok(Self::serve_cached_fragment_buffered(frag));
         }
         let tracer = self.tracer.as_deref();
         let start = Instant::now();
         let token = self.cancel_token();
-        let (plan, schema, elided) = {
+        let (plan, schema, elided, cache_hit) = {
             let _s = TraceSpan::new(tracer, "server.parse_bind");
             self.plan_cached(sql)?
         };
         let parse_bind = start.elapsed();
-        let optimize = Duration::ZERO;
         self.metrics.counter("exec.sorts_elided").add(elided as u64);
         // Everything that can panic — execution and encoding — runs inside
         // catch_unwind, so a bug in an operator surfaces as a typed
         // `Internal` error rather than aborting the calling thread.
-        type ExecOut = Result<(QueryOutput, ExecProfile, Bytes, Duration, Duration), EngineError>;
+        type ExecOut = Result<(usize, ExecProfile, Bytes, Duration, Duration), EngineError>;
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| -> ExecOut {
             let t_exec = Instant::now();
             let (out, profile) = {
@@ -1224,7 +1193,6 @@ impl Server {
                     self.faults.as_deref(),
                     self.transient_retries,
                     &self.metrics,
-                    self.exec_mode,
                 )?
             };
             let execute = t_exec.elapsed();
@@ -1238,11 +1206,11 @@ impl Server {
             }
             let data = {
                 let _s = TraceSpan::new(tracer, "encode");
-                out.encode_all()
+                encode_all(&out)
             };
-            Ok((out, profile, data, execute, t_enc.elapsed()))
+            Ok((out.row_count(), profile, data, execute, t_enc.elapsed()))
         }));
-        let (out, profile, data, execute, encode) = match caught {
+        let (rows, profile, data, execute, encode) = match caught {
             Err(payload) => {
                 self.metrics.counter("server.panics").inc();
                 return Err(EngineError::Internal(panic_message(payload)));
@@ -1254,126 +1222,71 @@ impl Server {
             Ok(Ok(v)) => v,
         };
         let query_time = start.elapsed();
-
-        let m = &self.metrics;
-        m.counter("server.queries").inc();
-        m.counter("server.rows").add(out.row_count() as u64);
-        m.counter("server.bytes").add(data.len() as u64);
-        m.histogram("server.parse_bind_ns")
-            .record_duration(parse_bind);
-        m.histogram("server.execute_ns").record_duration(execute);
-        m.histogram("server.encode_ns").record_duration(encode);
-        m.histogram("server.query_ns").record_duration(query_time);
-        profile.export_to(m);
-
-        if let Some(limit) = self.timeout {
-            if query_time > limit {
-                m.counter("server.timeouts").inc();
-                return Err(EngineError::Timeout {
-                    elapsed_ms: query_time.as_millis() as u64,
-                    limit_ms: limit.as_millis() as u64,
-                });
-            }
+        let phases = QueryPhases {
+            parse_bind,
+            optimize: Duration::ZERO,
+            execute,
+            encode,
+        };
+        record_query(&self.metrics, rows, data.len(), &phases, &profile);
+        if let Some(e) = overran(&self.metrics, self.timeout, query_time) {
+            return Err(e);
         }
         // The buffered path completed cleanly — the encoded result is whole
         // and safe to cache as a single-chunk fragment.
-        if let Some(cap) = self.fragment_capture(sql, &schema) {
-            let mut cap = cap;
+        if let Some(mut cap) = self.fragment_capture(sql, &schema) {
             if cap.push(&data) {
-                cap.commit(out.row_count(), data.len());
+                cap.commit(rows, data.len());
             }
         }
-        Ok(TupleStream {
-            schema,
-            row_count: out.row_count(),
-            byte_size: data.len(),
-            query_time,
-            phases: QueryPhases {
-                parse_bind,
-                optimize,
-                execute,
-                encode,
-            },
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Buffered(data),
-            capture: None,
-            trace: None,
-            cancel: token,
-        })
+        let byte_size = data.len();
+        let mut stream = TupleStream::new(schema, StreamSource::Buffered(data), token);
+        stream.row_count = rows;
+        stream.byte_size = byte_size;
+        stream.query_time = query_time;
+        stream.phases = phases;
+        stream.cache_hit = cache_hit;
+        Ok(stream)
     }
 
     /// Serve a cached fragment as a fully buffered stream: the chunks are
     /// concatenated (the wire format is self-delimiting, so concatenated
     /// chunk bytes equal the single `encode_all` buffer) and wrapped in a
     /// [`StreamSource::Buffered`] with zero server-side time.
-    fn serve_cached_fragment_buffered(
-        &self,
-        schema: Schema,
-        chunks: Vec<Bytes>,
-        row_count: usize,
-        byte_size: usize,
-    ) -> TupleStream {
-        let mut data = BytesMut::with_capacity(byte_size);
-        for c in &chunks {
+    fn serve_cached_fragment_buffered(frag: FragmentHit) -> TupleStream {
+        let mut data = BytesMut::with_capacity(frag.byte_size);
+        for c in &frag.chunks {
             data.put_slice(c);
         }
-        TupleStream {
-            schema,
-            row_count,
-            byte_size,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Buffered(data.freeze()),
-            capture: None,
-            trace: None,
-            cancel: CancelToken::unbounded(),
-        }
+        let mut stream = TupleStream::new(
+            frag.schema,
+            StreamSource::Buffered(data.freeze()),
+            CancelToken::unbounded(),
+        );
+        stream.row_count = frag.row_count;
+        stream.byte_size = frag.byte_size;
+        stream.cache_hit = true;
+        stream
     }
 
     /// Serve a cached fragment with streaming semantics: every chunk plus
     /// the terminal summary is pre-queued on a channel sized to hold them
     /// all, reproducing the exact item sequence (and bytes) the live
     /// streaming path produced when the fragment was captured.
-    fn serve_cached_fragment_streaming(
-        &self,
-        schema: Schema,
-        chunks: Vec<Bytes>,
-        row_count: usize,
-        byte_size: usize,
-    ) -> TupleStream {
-        let (tx, rx) = sync_channel(chunks.len() + 1);
-        for c in chunks {
-            let _ = tx.send(StreamItem::Chunk(c));
-        }
-        let _ = tx.send(StreamItem::Done(StreamSummary {
-            row_count,
-            byte_size,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
+    fn serve_cached_fragment_streaming(frag: FragmentHit) -> TupleStream {
+        let mut items: Vec<StreamItem> = frag.chunks.into_iter().map(StreamItem::Chunk).collect();
+        items.push(StreamItem::Done(StreamSummary {
+            row_count: frag.row_count,
+            byte_size: frag.byte_size,
+            ..StreamSummary::default()
         }));
-        TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                current: Bytes::new(),
-                finished: false,
-            },
-            capture: None,
-            trace: None,
-            cancel: CancelToken::unbounded(),
-        }
+        let mut stream = TupleStream::new(
+            frag.schema,
+            StreamSource::queued(items),
+            CancelToken::unbounded(),
+        );
+        stream.cache_hit = true;
+        stream
     }
 
     /// Execute a SQL string as a pipelined stream: the returned
@@ -1384,151 +1297,111 @@ impl Server {
     /// surface from [`TupleStream::next_row`]. Dropping the stream early
     /// terminates the worker at its next send.
     ///
-    /// On a single-CPU host (or after `with_stream_workers(false)`) the
-    /// query instead executes inline and the chunks are queued up front —
-    /// same stream semantics, none of the handoff overhead that buys
-    /// nothing without a second core.
+    /// With `k > 1` shards and a plan with a usable integer sort key, the
+    /// query is split into key ranges executed concurrently, one worker
+    /// per shard, and re-merged in order. On a single-CPU host (or after
+    /// `with_stream_workers(false)`) the plans instead execute inline and
+    /// the chunks are queued up front — same stream semantics, none of the
+    /// handoff overhead that buys nothing without a second core.
     pub fn execute_sql_streaming(&self, sql: &str) -> Result<TupleStream, EngineError> {
-        if let Some((schema, chunks, rows, bytes)) = self.fragment_lookup(sql) {
-            return Ok(self.serve_cached_fragment_streaming(schema, chunks, rows, bytes));
+        if let Some(frag) = self.fragment_lookup(sql) {
+            return Ok(Self::serve_cached_fragment_streaming(frag));
         }
-        let mut stream = self.execute_sql_streaming_uncached(sql)?;
-        // Tee this miss's chunks into the cache; the capture commits only
-        // on the stream's clean terminal item.
-        stream.capture = self.fragment_capture(sql, &stream.schema);
-        Ok(stream)
-    }
-
-    /// [`Server::execute_sql_streaming`] without the fragment-cache check —
-    /// always plans and executes.
-    fn execute_sql_streaming_uncached(&self, sql: &str) -> Result<TupleStream, EngineError> {
         let start = Instant::now();
-        let (plan, schema, elided) = self.plan_cached(sql)?;
+        let (plan, schema, elided, cache_hit) = self.plan_cached(sql)?;
         let parse_bind = start.elapsed();
         self.metrics.counter("exec.sorts_elided").add(elided as u64);
         self.metrics.counter("server.streams").inc();
-
-        if self.shards > 1 {
-            if let Some(sp) = split_plan(&plan, &self.db, self.shards) {
-                self.metrics.counter("exec.shards").add(sp.len() as u64);
-                return if self.stream_workers {
-                    self.stream_sharded(sp.plans, schema, parse_bind, sql)
-                } else {
-                    self.stream_inline_sharded(sp.plans, schema, parse_bind)
-                };
-            }
-        }
-
-        if !self.stream_workers {
-            return self.stream_inline(plan, schema, parse_bind);
-        }
-
-        let (tx, rx) = sync_channel(STREAM_CHANNEL_BOUND);
-        let token = self.cancel_token();
-        let ctx = StreamWorkerCtx {
-            db: Arc::clone(&self.db),
-            metrics: Arc::clone(&self.metrics),
-            gate: Arc::clone(&self.exec_gate),
-            timeout: self.timeout,
-            tracer: self.tracer.clone(),
-            detail: self.tracer.as_ref().map(|_| sql_summary(sql)),
-            token: token.clone(),
-            faults: self.faults.clone(),
-            retries: self.transient_retries,
-            parse_bind,
-            lane_label: "server execute worker".into(),
-            mode: self.exec_mode,
+        let sharded = if self.shards > 1 {
+            split_plan(&plan, &self.db, self.shards)
+        } else {
+            None
         };
-        std::thread::spawn(move || {
-            // Panic isolation: the worker body runs under catch_unwind so a
-            // panicking operator (or injected fault) becomes a terminal
-            // `Failed(Internal)` item instead of a dropped sender the
-            // consumer can only see as a truncated stream. The permit is a
-            // drop-guard, so unwinding releases it too — a panicking query
-            // must never shrink the gate.
-            let fail_tx = tx.clone();
-            let metrics = Arc::clone(&ctx.metrics);
-            if let Err(payload) =
-                std::panic::catch_unwind(AssertUnwindSafe(move || stream_worker(ctx, plan, tx)))
-            {
-                metrics.counter("server.panics").inc();
-                let _ = fail_tx.send(StreamItem::Failed(EngineError::Internal(panic_message(
-                    payload,
-                ))));
+        let plans = match sharded {
+            Some(sp) => {
+                self.metrics.counter("exec.shards").add(sp.len() as u64);
+                sp.plans
             }
-        });
-
-        Ok(TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                current: Bytes::new(),
-                finished: false,
-            },
-            capture: None,
-            trace: None,
-            cancel: token,
-        })
+            None => vec![plan],
+        };
+        // Tee this miss's chunks into the cache; the capture commits only
+        // on the stream's clean terminal item.
+        let capture = self.fragment_capture(sql, &schema);
+        let mut stream = if self.stream_workers {
+            self.stream_on_workers(plans, schema, parse_bind, sql)
+        } else {
+            self.stream_inline(plans, schema, parse_bind)
+        };
+        stream.capture = capture;
+        stream.cache_hit = cache_hit;
+        Ok(stream)
     }
 
-    /// A fresh fault injector over the configured fault plan, so every
-    /// shard counts its sites from zero — `kind@site#n` fires identically
-    /// per shard under a fixed seed, independent of shard count.
-    fn shard_injector(&self) -> Option<Arc<FaultInjector>> {
+    /// The fault injector for one of `n` plans of a query: the shared one
+    /// when the query runs unsharded, otherwise a fresh injector over the
+    /// configured fault plan, so every shard counts its sites from zero —
+    /// `kind@site#n` fires identically per shard under a fixed seed,
+    /// independent of shard count.
+    fn plan_injector(&self, n: usize) -> Option<Arc<FaultInjector>> {
+        if n == 1 {
+            return self.faults.clone();
+        }
         self.fault_plan
             .as_ref()
             .map(|p| Arc::new(FaultInjector::new(p.clone())))
     }
 
-    /// The sharded worker path: one worker thread per key-range shard, each
-    /// with its own bounded channel, all sharing one cancel token. The
-    /// consumer drains the channels in shard order
-    /// ([`StreamSource::Shards`]); because the ranges are value-disjoint
-    /// and ascending, that concatenation reproduces the unsharded stream
-    /// byte for byte. The gate cannot deadlock under shard fan-out: no
-    /// worker ever holds a permit across a blocking send, so a parked
-    /// later shard always releases its permit to whichever shard the
-    /// consumer is actually draining.
-    fn stream_sharded(
+    /// The worker path: one worker thread per plan (per key-range shard),
+    /// each with its own bounded channel, all sharing one cancel token.
+    /// The consumer drains the channels in order ([`StreamSource::Channel`]);
+    /// because shard ranges are value-disjoint and ascending, that
+    /// concatenation reproduces the unsharded stream byte for byte. The
+    /// gate cannot deadlock under shard fan-out: no worker ever holds a
+    /// permit across a blocking send, so a parked later shard always
+    /// releases its permit to whichever shard the consumer is draining.
+    fn stream_on_workers(
         &self,
         plans: Vec<Plan>,
         schema: Schema,
         parse_bind: Duration,
         sql: &str,
-    ) -> Result<TupleStream, EngineError> {
+    ) -> TupleStream {
         let token = self.cancel_token();
         let n = plans.len();
         let mut parts = Vec::with_capacity(n);
         for (i, plan) in plans.into_iter().enumerate() {
             let (tx, rx) = sync_channel(STREAM_CHANNEL_BOUND);
             parts.push(rx);
+            let (detail, lane_label) = if n == 1 {
+                (sql_summary(sql), "server execute worker".to_string())
+            } else {
+                (
+                    format!("shard {i}/{n}: {}", sql_summary(sql)),
+                    format!("server shard worker {i}"),
+                )
+            };
             let ctx = StreamWorkerCtx {
                 db: Arc::clone(&self.db),
                 metrics: Arc::clone(&self.metrics),
                 gate: Arc::clone(&self.exec_gate),
                 timeout: self.timeout,
                 tracer: self.tracer.clone(),
-                detail: self
-                    .tracer
-                    .as_ref()
-                    .map(|_| format!("shard {i}/{n}: {}", sql_summary(sql))),
+                detail: self.tracer.as_ref().map(|_| detail),
                 token: token.clone(),
-                faults: self.shard_injector(),
+                faults: self.plan_injector(n),
                 retries: self.transient_retries,
-                // The SQL was parsed once; attribute that to shard 0 so the
-                // aggregated phases count it exactly once.
+                // The SQL was parsed once; attribute that to the first
+                // plan so the aggregated phases count it exactly once.
                 parse_bind: if i == 0 { parse_bind } else { Duration::ZERO },
-                lane_label: format!("server shard worker {i}"),
-                mode: self.exec_mode,
+                lane_label,
             };
             std::thread::spawn(move || {
+                // Panic isolation: the worker body runs under catch_unwind
+                // so a panicking operator (or injected fault) becomes a
+                // terminal `Failed(Internal)` item instead of a dropped
+                // sender the consumer can only see as a truncated stream.
+                // The permit is a drop-guard, so unwinding releases it too
+                // — a panicking query must never shrink the gate.
                 let fail_tx = tx.clone();
                 let metrics = Arc::clone(&ctx.metrics);
                 if let Err(payload) =
@@ -1541,79 +1414,31 @@ impl Server {
                 }
             });
         }
-        Ok(TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Shards {
-                parts,
-                idx: 0,
-                current: Bytes::new(),
-                finished: false,
-                agg: StreamSummary::default(),
-                rows_per_shard: Vec::with_capacity(n),
-                metrics: Arc::clone(&self.metrics),
-            },
-            capture: None,
-            trace: None,
-            cancel: token,
-        })
+        let skew = (n > 1).then(|| Arc::clone(&self.metrics));
+        TupleStream::new(schema, StreamSource::channel(parts, skew), token)
     }
 
-    /// The single-CPU degradation of the sharded path: run every shard
-    /// plan to completion on the caller's thread, in shard order, queueing
-    /// all chunks and one combined terminal item up front. Same item
-    /// sequence (and bytes) the worker path delivers, without threads —
-    /// there is no parallel win to be had here, but `--shards k` must mean
-    /// the same thing on every host.
-    fn stream_inline_sharded(
-        &self,
-        plans: Vec<Plan>,
-        schema: Schema,
-        parse_bind: Duration,
-    ) -> Result<TupleStream, EngineError> {
+    /// The single-CPU degradation of the worker path: run every plan to
+    /// completion on the caller's thread, in order, queueing all chunks and
+    /// one combined terminal `Done`/`Failed` item up front. The consumer
+    /// sees the item sequence (and bytes) a worker would produce —
+    /// including execution errors and timeouts surfacing at end of stream
+    /// — without paying for a thread handoff that cannot overlap with
+    /// anything. `--shards k` means the same thing on every host.
+    fn stream_inline(&self, plans: Vec<Plan>, schema: Schema, parse_bind: Duration) -> TupleStream {
         let tracer = self.tracer.as_deref();
         let token = self.cancel_token();
-        let stream_token = token.clone();
-        let stream = move |rx| TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                current: Bytes::new(),
-                finished: false,
-            },
-            capture: None,
-            trace: None,
-            cancel: stream_token,
-        };
-        let mut chunks: Vec<Bytes> = Vec::new();
-        let mut agg = StreamSummary {
-            phases: QueryPhases {
-                parse_bind,
-                ..QueryPhases::default()
-            },
-            query_time: parse_bind,
-            ..StreamSummary::default()
-        };
-        let mut rows_per_shard = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            // Each shard gets a fresh injector, exactly like the worker
-            // path, so fault firing is independent of the execution mode.
-            let faults = self.shard_injector();
-            type ShardOut = Result<(usize, usize, Duration, Duration), EngineError>;
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| -> ShardOut {
+        let n = plans.len();
+        let mut items: Vec<StreamItem> = Vec::new();
+        let mut agg = StreamSummary::default();
+        let mut rows_per_shard = Vec::with_capacity(n);
+        for (i, plan) in plans.iter().enumerate() {
+            let faults = self.plan_injector(n);
+            // Same panic-isolation contract as the worker path: execution
+            // and encoding run under catch_unwind and any failure becomes
+            // the stream's terminal `Failed` item.
+            type PlanOut = Result<(usize, usize, ExecProfile, Duration, Duration), EngineError>;
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| -> PlanOut {
                 let t_exec = Instant::now();
                 let (out, profile) = {
                     let _s = TraceSpan::new(tracer, "query.execute");
@@ -1624,250 +1449,66 @@ impl Server {
                         faults.as_deref(),
                         self.transient_retries,
                         &self.metrics,
-                        self.exec_mode,
                     )?
                 };
                 let execute = t_exec.elapsed();
                 let mut encode = Duration::ZERO;
                 let mut bytes_out = 0usize;
-                {
-                    let _s = TraceSpan::new(tracer, "encode");
-                    for ci in 0..out.chunk_count(STREAM_CHUNK_ROWS) {
-                        token.check()?;
-                        if let Some(f) = &faults {
-                            f.hit(FaultSite::Encode)?;
-                        }
-                        let t_enc = Instant::now();
-                        let bytes = out.encode_chunk(ci, STREAM_CHUNK_ROWS);
-                        encode += t_enc.elapsed();
-                        if let Some(f) = &faults {
-                            f.hit(FaultSite::Send)?;
-                        }
-                        bytes_out += bytes.len();
-                        chunks.push(bytes);
-                    }
-                }
-                profile.export_to(&self.metrics);
-                Ok((out.row_count(), bytes_out, execute, encode))
-            }));
-            let (rows, bytes_out, execute, encode) = match caught {
-                Err(payload) => {
-                    self.metrics.counter("server.panics").inc();
-                    let (tx, rx) = sync_channel(chunks.len() + 1);
-                    for c in chunks {
-                        let _ = tx.send(StreamItem::Chunk(c));
-                    }
-                    let _ = tx.send(StreamItem::Failed(EngineError::Internal(panic_message(
-                        payload,
-                    ))));
-                    return Ok(stream(rx));
-                }
-                Ok(Err(e)) => {
-                    note_exec_error(&self.metrics, &e);
-                    let (tx, rx) = sync_channel(chunks.len() + 1);
-                    for c in chunks {
-                        let _ = tx.send(StreamItem::Chunk(c));
-                    }
-                    let _ = tx.send(StreamItem::Failed(e));
-                    return Ok(stream(rx));
-                }
-                Ok(Ok(v)) => v,
-            };
-            let shard_time = execute + encode;
-            let m = &self.metrics;
-            m.counter("server.queries").inc();
-            m.counter("server.rows").add(rows as u64);
-            m.counter("server.bytes").add(bytes_out as u64);
-            m.histogram("server.execute_ns").record_duration(execute);
-            m.histogram("server.encode_ns").record_duration(encode);
-            m.histogram("server.query_ns").record_duration(shard_time);
-            rows_per_shard.push(rows as u64);
-            agg.row_count += rows;
-            agg.byte_size += bytes_out;
-            agg.query_time += shard_time;
-            agg.phases.execute += execute;
-            agg.phases.encode += encode;
-        }
-        self.metrics
-            .histogram("server.parse_bind_ns")
-            .record_duration(parse_bind);
-        record_shard_skew(&self.metrics, &rows_per_shard);
-        let (tx, rx) = sync_channel(chunks.len() + 1);
-        for c in chunks {
-            let _ = tx.send(StreamItem::Chunk(c));
-        }
-        if let Some(limit) = self.timeout {
-            if agg.query_time > limit {
-                self.metrics.counter("server.timeouts").inc();
-                let _ = tx.send(StreamItem::Failed(EngineError::Timeout {
-                    elapsed_ms: agg.query_time.as_millis() as u64,
-                    limit_ms: limit.as_millis() as u64,
-                }));
-                return Ok(stream(rx));
-            }
-        }
-        let _ = tx.send(StreamItem::Done(agg));
-        Ok(stream(rx))
-    }
-
-    /// The single-CPU degradation of [`Server::execute_sql_streaming`]:
-    /// execute and encode on the caller's thread, queueing every chunk (and
-    /// the terminal `Done`/`Failed` item) before returning. The consumer
-    /// sees the identical item sequence a worker would produce — including
-    /// execution errors and timeouts surfacing at end of stream — without
-    /// paying for a thread handoff that cannot overlap with anything.
-    fn stream_inline(
-        &self,
-        plan: Plan,
-        schema: Schema,
-        parse_bind: Duration,
-    ) -> Result<TupleStream, EngineError> {
-        let optimize = Duration::ZERO;
-        let tracer = self.tracer.as_deref();
-        let token = self.cancel_token();
-        let stream_token = token.clone();
-        let stream = move |rx| TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                current: Bytes::new(),
-                finished: false,
-            },
-            capture: None,
-            trace: None,
-            cancel: stream_token,
-        };
-        // Same panic-isolation contract as the worker path: execution and
-        // encoding run under catch_unwind and any failure becomes the
-        // stream's terminal `Failed` item.
-        type InlineOut =
-            Result<(QueryOutput, ExecProfile, Vec<Bytes>, Duration, Duration), EngineError>;
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| -> InlineOut {
-            let t_exec = Instant::now();
-            let (out, profile) = {
-                let _s = TraceSpan::new(tracer, "query.execute");
-                run_query_with_retry(
-                    &plan,
-                    &self.db,
-                    &token,
-                    self.faults.as_deref(),
-                    self.transient_retries,
-                    &self.metrics,
-                    self.exec_mode,
-                )?
-            };
-            let execute = t_exec.elapsed();
-            let mut encode = Duration::ZERO;
-            let n_chunks = out.chunk_count(STREAM_CHUNK_ROWS);
-            let mut chunks = Vec::with_capacity(n_chunks);
-            {
                 let _s = TraceSpan::new(tracer, "encode");
-                for ci in 0..n_chunks {
+                for batch in &out.batches {
                     token.check()?;
-                    if let Some(f) = &self.faults {
+                    if let Some(f) = &faults {
                         f.hit(FaultSite::Encode)?;
                     }
                     let t_enc = Instant::now();
-                    let bytes = out.encode_chunk(ci, STREAM_CHUNK_ROWS);
+                    let bytes = encode_batch(batch);
                     encode += t_enc.elapsed();
-                    if let Some(f) = &self.faults {
+                    if let Some(f) = &faults {
                         f.hit(FaultSite::Send)?;
                     }
-                    chunks.push(bytes);
+                    bytes_out += bytes.len();
+                    items.push(StreamItem::Chunk(bytes));
                 }
-            }
-            Ok((out, profile, chunks, execute, encode))
-        }));
-        let (out, profile, chunks, execute, encode) = match caught {
-            Err(payload) => {
-                self.metrics.counter("server.panics").inc();
-                let (tx, rx) = sync_channel(1);
-                let _ = tx.send(StreamItem::Failed(EngineError::Internal(panic_message(
-                    payload,
-                ))));
-                return Ok(stream(rx));
-            }
-            Ok(Err(e)) => {
-                note_exec_error(&self.metrics, &e);
-                let (tx, rx) = sync_channel(1);
-                let _ = tx.send(StreamItem::Failed(e));
-                return Ok(stream(rx));
-            }
-            Ok(Ok(v)) => v,
-        };
-        let (tx, rx) = sync_channel(chunks.len() + 1);
-        let mut byte_size = 0usize;
-        for bytes in chunks {
-            byte_size += bytes.len();
-            let _ = tx.send(StreamItem::Chunk(bytes));
-        }
-        let query_time = parse_bind + optimize + execute + encode;
-        let m = &self.metrics;
-        m.counter("server.queries").inc();
-        m.counter("server.rows").add(out.row_count() as u64);
-        m.counter("server.bytes").add(byte_size as u64);
-        m.histogram("server.parse_bind_ns")
-            .record_duration(parse_bind);
-        m.histogram("server.execute_ns").record_duration(execute);
-        m.histogram("server.encode_ns").record_duration(encode);
-        m.histogram("server.query_ns").record_duration(query_time);
-        profile.export_to(m);
-        if let Some(limit) = self.timeout {
-            if query_time > limit {
-                m.counter("server.timeouts").inc();
-                let _ = tx.send(StreamItem::Failed(EngineError::Timeout {
-                    elapsed_ms: query_time.as_millis() as u64,
-                    limit_ms: limit.as_millis() as u64,
-                }));
-                return Ok(stream(rx));
-            }
-        }
-        let _ = tx.send(StreamItem::Done(StreamSummary {
-            row_count: out.row_count(),
-            byte_size,
-            query_time,
-            phases: QueryPhases {
-                parse_bind,
-                optimize,
+                Ok((out.row_count(), bytes_out, profile, execute, encode))
+            }));
+            let (rows, bytes, profile, execute, encode) = match caught {
+                Err(payload) => {
+                    self.metrics.counter("server.panics").inc();
+                    items.push(StreamItem::Failed(EngineError::Internal(panic_message(
+                        payload,
+                    ))));
+                    return TupleStream::new(schema, StreamSource::queued(items), token);
+                }
+                Ok(Err(e)) => {
+                    note_exec_error(&self.metrics, &e);
+                    items.push(StreamItem::Failed(e));
+                    return TupleStream::new(schema, StreamSource::queued(items), token);
+                }
+                Ok(Ok(v)) => v,
+            };
+            let phases = QueryPhases {
+                parse_bind: if i == 0 { parse_bind } else { Duration::ZERO },
+                optimize: Duration::ZERO,
                 execute,
                 encode,
-            },
-        }));
-        Ok(stream(rx))
-    }
-
-    /// Execute several SQL queries concurrently, one worker thread per
-    /// query, preserving input order in the result. Mirrors a middle-ware
-    /// client opening several JDBC connections at once.
-    pub fn execute_all_parallel(
-        &self,
-        queries: &[String],
-    ) -> Vec<Result<TupleStream, EngineError>> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .iter()
-                .map(|q| scope.spawn(move || self.execute_sql(q)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        // execute_sql already catches panics in the query
-                        // body; this covers panics outside that guard so
-                        // one bad query cannot take down its siblings.
-                        self.metrics.counter("server.panics").inc();
-                        Err(EngineError::Internal(panic_message(payload)))
-                    })
-                })
-                .collect()
-        })
+            };
+            record_query(&self.metrics, rows, bytes, &phases, &profile);
+            rows_per_shard.push(rows as u64);
+            agg.row_count += rows;
+            agg.byte_size += bytes;
+            agg.query_time += phases.total();
+            agg.phases.parse_bind += phases.parse_bind;
+            agg.phases.execute += execute;
+            agg.phases.encode += encode;
+        }
+        if n > 1 {
+            record_shard_skew(&self.metrics, &rows_per_shard);
+        }
+        items.push(match overran(&self.metrics, self.timeout, agg.query_time) {
+            Some(e) => StreamItem::Failed(e),
+            None => StreamItem::Done(agg),
+        });
+        TupleStream::new(schema, StreamSource::queued(items), token)
     }
 
     /// Cost-estimate endpoint: the paper's oracle. Parses and binds the SQL,
@@ -1891,7 +1532,7 @@ impl Server {
     /// [`Server::estimate_sql`] to predict per-shard cardinalities — the
     /// stats-driven skew estimate behind the `--shards auto` decision.
     pub fn shard_sql(&self, sql: &str, k: usize) -> Result<Option<Vec<String>>, EngineError> {
-        let (plan, _, _) = self.plan_cached(sql)?;
+        let (plan, _, _, _) = self.plan_cached(sql)?;
         match split_plan(&plan, &self.db, k) {
             Some(sp) => Ok(Some(
                 sp.plans
@@ -1912,7 +1553,7 @@ impl Server {
     /// an estimate records its Q-error into the `oracle.qerror` histogram
     /// (×1000 fixed point, so 1.0 → 1000).
     pub fn explain_analyze(&self, sql: &str) -> Result<ExplainAnalysis, EngineError> {
-        let (plan, _, elided) = self.plan_cached(sql)?;
+        let (plan, _, elided, _) = self.plan_cached(sql)?;
         let (_, est_rows) = estimate_with_nodes(&plan, &self.db)?;
         let start = Instant::now();
         let (rs, profile, plan_profile) = {
@@ -1921,7 +1562,7 @@ impl Server {
                 "query.analyze",
                 self.tracer.as_ref().map(|_| sql_summary(sql)),
             );
-            execute_analyzed(&plan, &self.db)?
+            execute_vectorized_analyzed(&plan, &self.db)?
         };
         let execute_time = start.elapsed();
         let m = &self.metrics;
@@ -1934,7 +1575,7 @@ impl Server {
             &est_rows,
             elided as u64,
             execute_time,
-            rs.len() as u64,
+            rs.row_count() as u64,
             sql.to_string(),
         );
         for n in &analysis.nodes {
@@ -1963,8 +1604,6 @@ struct StreamWorkerCtx {
     /// Display name for this worker's trace lane (shard workers get one
     /// lane each, so shards show up as separate rows in the viewer).
     lane_label: String,
-    /// Tuple or vectorized execution, inherited from the server.
-    mode: ExecMode,
 }
 
 /// Body of a streaming query worker: execute under an admission permit,
@@ -1984,9 +1623,7 @@ fn stream_worker(ctx: StreamWorkerCtx, plan: Plan, tx: SyncSender<StreamItem>) {
         retries,
         parse_bind,
         lane_label,
-        mode,
     } = ctx;
-    let optimize = Duration::ZERO;
     let lane = tracer.as_ref().map(|t| {
         let lane = t.name_current_thread(lane_label);
         t.begin(lane, "exec.gate.wait", None);
@@ -2014,15 +1651,7 @@ fn stream_worker(ctx: StreamWorkerCtx, plan: Plan, tx: SyncSender<StreamItem>) {
     let t_exec = Instant::now();
     let (out, profile) = {
         let _s = TraceSpan::with_detail(tracer.as_deref(), "query.execute", detail);
-        match run_query_with_retry(
-            &plan,
-            &db,
-            &token,
-            faults.as_deref(),
-            retries,
-            &metrics,
-            mode,
-        ) {
+        match run_query_with_retry(&plan, &db, &token, faults.as_deref(), retries, &metrics) {
             Ok(v) => v,
             Err(e) => {
                 fail(Some(permit), e);
@@ -2034,7 +1663,7 @@ fn stream_worker(ctx: StreamWorkerCtx, plan: Plan, tx: SyncSender<StreamItem>) {
     let mut permit = Some(permit);
     let mut encode = Duration::ZERO;
     let mut byte_size = 0usize;
-    for ci in 0..out.chunk_count(STREAM_CHUNK_ROWS) {
+    for batch in &out.batches {
         // One cancellation check per chunk: a dropped stream, an explicit
         // cancel, or a blown deadline stops the worker within one chunk
         // boundary instead of encoding the rest of the result.
@@ -2062,7 +1691,7 @@ fn stream_worker(ctx: StreamWorkerCtx, plan: Plan, tx: SyncSender<StreamItem>) {
         let t_enc = Instant::now();
         let bytes = {
             let _s = TraceSpan::new(tracer.as_deref(), "encode");
-            out.encode_chunk(ci, STREAM_CHUNK_ROWS)
+            encode_batch(batch)
         };
         encode += t_enc.elapsed();
         byte_size += bytes.len();
@@ -2085,46 +1714,24 @@ fn stream_worker(ctx: StreamWorkerCtx, plan: Plan, tx: SyncSender<StreamItem>) {
         }
     }
     drop(permit);
-    let query_time = parse_bind + optimize + execute + encode;
+    let phases = QueryPhases {
+        parse_bind,
+        optimize: Duration::ZERO,
+        execute,
+        encode,
+    };
     // Record metrics before Done so they are visible as soon as the
     // consumer sees end of stream.
-    metrics.counter("server.queries").inc();
-    metrics.counter("server.rows").add(out.row_count() as u64);
-    metrics.counter("server.bytes").add(byte_size as u64);
-    metrics
-        .histogram("server.parse_bind_ns")
-        .record_duration(parse_bind);
-    metrics
-        .histogram("server.execute_ns")
-        .record_duration(execute);
-    metrics
-        .histogram("server.encode_ns")
-        .record_duration(encode);
-    metrics
-        .histogram("server.query_ns")
-        .record_duration(query_time);
-    profile.export_to(&metrics);
-    if let Some(limit) = timeout {
-        if query_time > limit {
-            metrics.counter("server.timeouts").inc();
-            let _ = tx.send(StreamItem::Failed(EngineError::Timeout {
-                elapsed_ms: query_time.as_millis() as u64,
-                limit_ms: limit.as_millis() as u64,
-            }));
-            return;
-        }
-    }
-    let _ = tx.send(StreamItem::Done(StreamSummary {
-        row_count: out.row_count(),
-        byte_size,
-        query_time,
-        phases: QueryPhases {
-            parse_bind,
-            optimize,
-            execute,
-            encode,
-        },
-    }));
+    record_query(&metrics, out.row_count(), byte_size, &phases, &profile);
+    let _ = tx.send(match overran(&metrics, timeout, phases.total()) {
+        Some(e) => StreamItem::Failed(e),
+        None => StreamItem::Done(StreamSummary {
+            row_count: out.row_count(),
+            byte_size,
+            query_time: phases.total(),
+            phases,
+        }),
+    });
 }
 
 /// A short, single-line rendition of a SQL statement for trace details.
@@ -2192,16 +1799,24 @@ mod tests {
     #[test]
     fn parallel_execution_preserves_order() {
         let s = server();
-        let queries = vec![
-            "SELECT i.id AS id FROM Item i WHERE i.id < 10 ORDER BY id".to_string(),
-            "SELECT i.id AS id FROM Item i WHERE i.id >= 40 ORDER BY id".to_string(),
+        let queries = [
+            "SELECT i.id AS id FROM Item i WHERE i.id < 10 ORDER BY id",
+            "SELECT i.id AS id FROM Item i WHERE i.id >= 40 ORDER BY id",
         ];
-        let results = s.execute_all_parallel(&queries);
-        assert_eq!(results.len(), 2);
-        let a = results[0].as_ref().unwrap();
-        let b = results[1].as_ref().unwrap();
-        assert_eq!(a.row_count, 10);
-        assert_eq!(b.row_count, 10);
+        // Every stream is submitted before any is drained, so the worker
+        // executions overlap; each still carries exactly its own rows.
+        let streams: Vec<TupleStream> = queries
+            .iter()
+            .map(|q| s.execute_sql_streaming(q).unwrap())
+            .collect();
+        let rows: Vec<Vec<Row>> = streams
+            .into_iter()
+            .map(|st| st.collect_rows().unwrap())
+            .collect();
+        assert_eq!(rows[0].len(), 10);
+        assert_eq!(rows[1].len(), 10);
+        assert_eq!(rows[0][0].get(0), &Value::Int(0));
+        assert_eq!(rows[1][0].get(0), &Value::Int(40));
     }
 
     #[test]
@@ -2440,24 +2055,11 @@ mod tests {
     #[test]
     fn vanished_worker_surfaces_truncation() {
         let (tx, rx) = sync_channel(1);
-        let mut stream = TupleStream {
-            schema: Schema::of(&[("x", DataType::Int)]),
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                current: Bytes::new(),
-                finished: false,
-            },
-            capture: None,
-            trace: None,
-            cancel: CancelToken::none(),
-        };
+        let mut stream = TupleStream::new(
+            Schema::of(&[("x", DataType::Int)]),
+            StreamSource::channel(vec![rx], None),
+            CancelToken::none(),
+        );
         // The sender vanishes without a Done/Failed terminator — the reader
         // must see a hard truncation error, not a clean end of stream.
         drop(tx);
@@ -2785,32 +2387,36 @@ mod tests {
         }
     }
 
+    /// The reference evaluator's rows and wire bytes for `sql`, planned
+    /// exactly as the server plans it.
+    fn reference(s: &Server, sql: &str) -> (Vec<Row>, usize) {
+        let (plan, _) = s.optimized_plan(sql).unwrap();
+        let rs = crate::exec::execute(&plan, s.database()).unwrap();
+        let bytes = crate::wire::encode_rows(&rs.rows).len();
+        (rs.rows, bytes)
+    }
+
     #[test]
     fn vectorized_buffered_matches_tuple_bytes() {
         let sql = "SELECT i.id AS id, i.label AS label FROM Item i WHERE i.id >= 10 ORDER BY id";
-        let t = server();
-        let ts = t.execute_sql(sql).unwrap();
-        let (tuple_bytes, tuple_rows) = (ts.byte_size, ts.collect_rows().unwrap());
-        let v = server().with_exec_mode(ExecMode::Vectorized);
-        assert_eq!(v.exec_mode(), ExecMode::Vectorized);
-        let vs = v.execute_sql(sql).unwrap();
-        assert_eq!(vs.byte_size, tuple_bytes);
+        let s = server();
+        assert_eq!(s.exec_mode(), "vectorized");
+        let (want_rows, want_bytes) = reference(&s, sql);
+        let vs = s.execute_sql(sql).unwrap();
+        assert_eq!(vs.byte_size, want_bytes);
         assert_eq!(vs.row_count, 40);
-        assert_eq!(vs.collect_rows().unwrap(), tuple_rows);
-        let snap = v.metrics().snapshot();
+        assert_eq!(vs.collect_rows().unwrap(), want_rows);
+        let snap = s.metrics().snapshot();
         assert!(snap.counter("exec.batches") > 0, "batch counters exported");
     }
 
     #[test]
     fn vectorized_streaming_matches_tuple_for_all_shard_counts() {
         let sql = "SELECT i.id AS id, i.label AS label FROM Item i ORDER BY id";
-        let base = server().execute_sql(sql).unwrap().collect_rows().unwrap();
+        let (base, _) = reference(&server(), sql);
         for shards in [1usize, 2, 4] {
             for workers in [false, true] {
-                let s = server()
-                    .with_exec_mode(ExecMode::Vectorized)
-                    .with_shards(shards)
-                    .with_stream_workers(workers);
+                let s = server().with_shards(shards).with_stream_workers(workers);
                 let mut stream = s.execute_sql_streaming(sql).unwrap();
                 let mut rows = Vec::new();
                 while let Some(r) = stream.next_row().unwrap() {
@@ -2823,9 +2429,7 @@ mod tests {
 
     #[test]
     fn vectorized_scan_fault_surfaces_as_typed_error() {
-        let s = server()
-            .with_exec_mode(ExecMode::Vectorized)
-            .with_faults(FaultPlan::parse("panic@scan", 1).unwrap());
+        let s = server().with_faults(FaultPlan::parse("panic@scan", 1).unwrap());
         match s.execute_sql("SELECT i.id AS id FROM Item i ORDER BY id") {
             Err(EngineError::Internal(msg)) => {
                 assert!(msg.contains("injected fault"), "unexpected: {msg}")
@@ -2833,6 +2437,29 @@ mod tests {
             other => panic!("expected Internal, got {other:?}"),
         }
         assert_eq!(s.metrics().snapshot().counter("server.panics"), 1);
+    }
+
+    #[test]
+    fn streams_report_their_own_cache_hits() {
+        for workers in [false, true] {
+            let s = server()
+                .with_fragment_cache(1 << 20)
+                .with_stream_workers(workers);
+            let sql = "SELECT i.id AS id FROM Item i ORDER BY id";
+            assert!(!s.execute_sql_streaming(sql).unwrap().cache_hit, "cold");
+            // Planned again (buffered misses the fragment the streaming
+            // capture has not committed): a plan-cache hit.
+            let warm_plan = s.execute_sql(sql).unwrap();
+            assert!(warm_plan.cache_hit);
+            drop(warm_plan);
+            // Now committed: a fragment-cache hit also counts.
+            assert!(s.execute_sql_streaming(sql).unwrap().cache_hit);
+            let other = "SELECT i.label AS label FROM Item i ORDER BY label";
+            assert!(
+                !s.execute_sql(other).unwrap().cache_hit,
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]
@@ -2899,7 +2526,7 @@ mod tests {
     #[test]
     fn fragment_cache_serves_across_buffered_and_streaming() {
         // Same key space: a fragment captured by the buffered path serves
-        // the streaming path (and vice versa) — same mode, same shards.
+        // the streaming path (and vice versa) — same shards.
         let s = server().with_fragment_cache(1 << 20);
         let cold = s.execute_sql(FRAG_SQL).unwrap().collect_rows().unwrap();
         let (warm, _) = drain(s.execute_sql_streaming(FRAG_SQL).unwrap());
@@ -2923,7 +2550,7 @@ mod tests {
         // k=1 and k=2 chunk differently; their fragments must not collide.
         let s1 = server().with_fragment_cache(1 << 20);
         drain(s1.execute_sql_streaming(FRAG_SQL).unwrap());
-        assert_eq!(s1.fragment_key(FRAG_SQL), format!("Tuple|k1|{FRAG_SQL}"));
+        assert_eq!(s1.fragment_key(FRAG_SQL), format!("k1|{FRAG_SQL}"));
         let s2 = server().with_fragment_cache(1 << 20).with_shards(2);
         assert_ne!(s1.fragment_key(FRAG_SQL), s2.fragment_key(FRAG_SQL));
     }

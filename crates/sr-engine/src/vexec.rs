@@ -1,72 +1,179 @@
-//! Vectorized (batch-at-a-time) plan execution.
+//! Vectorized (batch-at-a-time) plan execution — the engine's executor.
 //!
-//! The tuple executor in [`crate::exec`] pays per-row costs everywhere:
-//! enum dispatch per cell, an `Arc<[Value]>` allocation per output row,
-//! `Arc<str>` refcount traffic in every projection and union. This module
-//! executes the same [`Plan`]s over [`ColumnBatch`]es instead — operators
-//! consume and produce batches of up to [`BATCH_ROWS`] rows, filters
-//! produce selection vectors instead of moving rows, integer filters prune
-//! whole batches via per-batch min/max zone maps (which is what makes the
-//! range predicates pushed down by `--shards` cheap), and values are only
-//! materialized at the wire encoder ([`crate::wire::encode_batch`]) — late
-//! materialization.
+//! Every query the [`crate::server::Server`] runs goes through this module.
+//! Operators consume and produce [`ColumnBatch`]es of up to [`BATCH_ROWS`]
+//! rows instead of paying per-row costs (enum dispatch per cell, an
+//! `Arc<[Value]>` allocation per output row, `Arc<str>` refcount traffic in
+//! every projection and union): filters produce selection vectors instead
+//! of moving rows, integer filters prune whole batches via per-batch
+//! min/max zone maps (which is what makes the range predicates pushed down
+//! by `--shards` cheap), and values are only materialized at the wire
+//! encoder ([`crate::wire::encode_batch`]) — late materialization.
 //!
-//! Semantics are bit-for-bit those of the tuple path: the same total value
-//! order for sorts, the same SQL NULL comparison rules for filters, the
-//! same `join_hash`/`join_eq` key semantics for joins, and the same
+//! Semantics are bit-for-bit those of the row-at-a-time reference
+//! evaluator in [`crate::exec`]: the same total value order for sorts, the
+//! same SQL NULL comparison rules for filters, the same
+//! `join_hash`/`join_eq` key semantics for joins, and the same
 //! first-occurrence-wins dedup — so the encoded result bytes are
-//! identical, which the conformance goldens and a proptest enforce.
+//! identical, which the conformance goldens and a differential proptest
+//! against the reference enforce.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::time::{Duration, Instant};
 
 use sr_data::column::{Column, ColumnBatch, ColumnData, BATCH_ROWS};
 use sr_data::{DataType, Database, Row, Schema, Value};
 
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
-use crate::exec::{op_name, ExecCtx, ExecProfile};
 use crate::expr::{BoundExpr, BoundPredicate, CmpOp};
 use crate::faults::{FaultInjector, FaultSite};
 use crate::plan::{JoinKind, Plan};
 
-/// Which executor the server drives for a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Row-at-a-time executor ([`crate::exec::execute`]) — the default.
-    #[default]
-    Tuple,
-    /// Batch-at-a-time columnar executor ([`execute_vectorized`]).
-    Vectorized,
+/// Rows processed between cooperative-cancellation checks — one streaming
+/// chunk's worth, so a query over its deadline stops within one chunk
+/// boundary. One clock read per this many rows is amortized to noise.
+const CANCEL_CHECK_ROWS: u64 = 1024;
+
+/// Output statistics for one operator kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpStat {
+    /// Times an operator of this kind ran.
+    pub calls: u64,
+    /// Rows it produced in total.
+    pub rows_out: u64,
+    /// Column batches it produced in total.
+    pub batches: u64,
 }
 
-impl ExecMode {
-    /// Parse a CLI spelling (`tuple` | `vectorized`).
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "tuple" => Some(ExecMode::Tuple),
-            "vectorized" => Some(ExecMode::Vectorized),
-            _ => None,
+/// Per-operator execution profile for one (or several) plan executions:
+/// how often each operator kind ran and how many rows and batches it
+/// emitted. This is the server-side half of the paper's "tuples
+/// processed" accounting.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExecProfile {
+    /// Statistics keyed by operator name (`scan`, `join`, …), sorted.
+    pub ops: BTreeMap<&'static str, OpStat>,
+    /// Per-batch filter selectivities in ‰ (rows out × 1000 / rows in).
+    pub selectivity: Vec<u64>,
+}
+
+impl ExecProfile {
+    fn record(&mut self, op: &'static str, rows_out: usize, batches: usize) {
+        let stat = self.ops.entry(op).or_default();
+        stat.calls += 1;
+        stat.rows_out += rows_out as u64;
+        stat.batches += batches as u64;
+    }
+
+    /// Total rows produced across all operators.
+    pub fn total_rows(&self) -> u64 {
+        self.ops.values().map(|s| s.rows_out).sum()
+    }
+
+    /// Total column batches produced across all operators.
+    pub fn total_batches(&self) -> u64 {
+        self.ops.values().map(|s| s.batches).sum()
+    }
+
+    /// Mirror the profile into a metrics registry as
+    /// `exec.calls.<op>` / `exec.rows.<op>` / `exec.batches.<op>`
+    /// counters, the `exec.batches` total, and the `exec.selectivity` ‰
+    /// histogram.
+    pub fn export_to(&self, registry: &sr_obs::MetricsRegistry) {
+        for (op, stat) in &self.ops {
+            registry
+                .counter(&format!("exec.calls.{op}"))
+                .add(stat.calls);
+            registry
+                .counter(&format!("exec.rows.{op}"))
+                .add(stat.rows_out);
+            if stat.batches > 0 {
+                registry
+                    .counter(&format!("exec.batches.{op}"))
+                    .add(stat.batches);
+            }
+        }
+        registry.counter("exec.batches").add(self.total_batches());
+        for &sel in &self.selectivity {
+            registry.histogram("exec.selectivity").record(sel);
         }
     }
+}
 
-    /// The CLI spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ExecMode::Tuple => "tuple",
-            ExecMode::Vectorized => "vectorized",
+/// Execution statistics for one *plan node* (not one operator kind),
+/// addressed by the node's preorder id — see [`Plan::children`] for the id
+/// scheme. This is what `EXPLAIN ANALYZE` renders per operator.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeStat {
+    /// Operator kind name (`scan`, `join`, …); empty if the node never ran.
+    pub op: &'static str,
+    /// Times this node was evaluated (CTE definitions run once; a node
+    /// under a re-evaluated subtree could run more).
+    pub calls: u64,
+    /// Rows this node produced in total.
+    pub rows_out: u64,
+    /// Wall time spent in this node *including* its children.
+    pub total_time: Duration,
+    /// Wall time minus the total time of direct children (computed after
+    /// execution by [`execute_vectorized_analyzed`]).
+    pub self_time: Duration,
+}
+
+/// Per-node execution profile of one analyzed run: `nodes[i]` is the stat
+/// for the plan node with preorder id `i`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PlanProfile {
+    /// One entry per plan node, indexed by preorder id.
+    pub nodes: Vec<NodeStat>,
+}
+
+/// Mutable execution context threaded through the operator recursion:
+/// always the kind-level [`ExecProfile`], plus per-node stats when running
+/// under [`execute_vectorized_analyzed`]. Keeping the per-node vector
+/// optional means the normal execution path pays only a branch per
+/// operator, not a clock read.
+struct ExecCtx<'a> {
+    profile: &'a mut ExecProfile,
+    nodes: Option<&'a mut Vec<NodeStat>>,
+    /// Cooperative cancellation, checked every [`CANCEL_CHECK_ROWS`] rows.
+    cancel: &'a CancelToken,
+    /// Fault injection (tests / CLI only; `None` in production).
+    faults: Option<&'a FaultInjector>,
+    /// Rows processed since the last cancellation check.
+    ticks: u64,
+}
+
+impl ExecCtx<'_> {
+    /// Account for `rows` units of work; check the cancel token once per
+    /// [`CANCEL_CHECK_ROWS`]. The fast path is one add and one compare.
+    fn tick(&mut self, rows: u64) -> Result<(), EngineError> {
+        self.ticks += rows;
+        if self.ticks >= CANCEL_CHECK_ROWS {
+            self.ticks = 0;
+            self.cancel.check()?;
         }
+        Ok(())
     }
 }
 
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+fn op_name(plan: &Plan) -> &'static str {
+    match plan {
+        Plan::Scan { .. } => "scan",
+        Plan::Filter { .. } => "filter",
+        Plan::Project { .. } => "project",
+        Plan::Join { .. } => "join",
+        Plan::OuterUnion { .. } => "outer_union",
+        Plan::Sort { .. } => "sort",
+        Plan::Distinct { .. } => "distinct",
+        Plan::With { .. } => "with",
+        Plan::CteScan { .. } => "cte_scan",
     }
 }
 
-/// A query result in column-major form: the vectorized analogue of
-/// [`crate::exec::ResultSet`]. Batches hold at most [`BATCH_ROWS`] rows.
+/// A query result in column-major form. Batches hold at most
+/// [`BATCH_ROWS`] rows.
 #[derive(Debug, Clone)]
 pub struct VecResultSet {
     /// Output schema.
@@ -86,7 +193,7 @@ impl VecResultSet {
         self.batches.is_empty()
     }
 
-    /// Materialize every row (tests and tuple-path interop).
+    /// Materialize every row (tests and row-oriented consumers).
     pub fn to_rows(&self) -> Vec<Row> {
         self.batches.iter().flat_map(ColumnBatch::to_rows).collect()
     }
@@ -97,7 +204,7 @@ impl VecResultSet {
     }
 }
 
-/// Execute a plan on the columnar path.
+/// Execute a plan.
 pub fn execute_vectorized(plan: &Plan, db: &Database) -> Result<VecResultSet, EngineError> {
     Ok(execute_vectorized_profiled(plan, db)?.0)
 }
@@ -112,8 +219,9 @@ pub fn execute_vectorized_profiled(
 }
 
 /// [`execute_vectorized_profiled`] with cooperative cancellation and fault
-/// injection — the entry point the server's vectorized mode uses. Faults
-/// fire at the same [`FaultSite::Scan`] site as on the tuple path.
+/// injection: `cancel` is checked once per chunk of rows inside every
+/// operator loop, and `faults` fires at the [`FaultSite::Scan`] site. This
+/// is the entry point every server execution path uses.
 pub fn execute_vectorized_profiled_with(
     plan: &Plan,
     db: &Database,
@@ -128,8 +236,43 @@ pub fn execute_vectorized_profiled_with(
         faults,
         ticks: 0,
     };
-    let rs = vexec_env(plan, db, &HashMap::new(), &mut ctx)?;
+    let rs = vexec_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
     Ok((rs, profile))
+}
+
+/// Execute a plan collecting, in addition to the kind-level profile, a
+/// timed per-node [`PlanProfile`] — the raw material of `EXPLAIN ANALYZE`.
+/// Self times (total minus direct children) are filled in after the run.
+pub fn execute_vectorized_analyzed(
+    plan: &Plan,
+    db: &Database,
+) -> Result<(VecResultSet, ExecProfile, PlanProfile), EngineError> {
+    let mut profile = ExecProfile::default();
+    let mut nodes = vec![NodeStat::default(); plan.node_count()];
+    let cancel = CancelToken::none();
+    let mut ctx = ExecCtx {
+        profile: &mut profile,
+        nodes: Some(&mut nodes),
+        cancel: &cancel,
+        faults: None,
+        ticks: 0,
+    };
+    let rs = vexec_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
+    fill_self_times(plan, 0, &mut nodes);
+    Ok((rs, profile, PlanProfile { nodes }))
+}
+
+/// `self = total − Σ direct children's total`, per node. Saturating: on a
+/// timer-granularity hiccup a child could appear to outlast its parent.
+fn fill_self_times(plan: &Plan, id: usize, nodes: &mut [NodeStat]) {
+    let mut child_id = id + 1;
+    let mut children_total = Duration::ZERO;
+    for child in plan.children() {
+        children_total += nodes[child_id].total_time;
+        fill_self_times(child, child_id, nodes);
+        child_id += child.node_count();
+    }
+    nodes[id].self_time = nodes[id].total_time.saturating_sub(children_total);
 }
 
 /// A multiply-xor hash (FxHash, the rustc hash): a couple of arithmetic
@@ -230,8 +373,8 @@ fn expr_cell<'a>(e: &'a BoundExpr, batch: &'a ColumnBatch, i: usize) -> CellRef<
 
 /// Total order over cells, mirroring [`Value`]'s `Ord` exactly:
 /// `NULL < Int/Float (numeric, total_cmp) < Str (byte-lexicographic)`.
-/// Byte order equals `str` order for UTF-8, so sorts agree with the tuple
-/// path bit for bit.
+/// Byte order equals `str` order for UTF-8, so sorts agree with the
+/// reference evaluator bit for bit.
 fn cmp_cells(a: CellRef<'_>, b: CellRef<'_>) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     use CellRef::*;
@@ -250,7 +393,7 @@ fn cmp_cells(a: CellRef<'_>, b: CellRef<'_>) -> std::cmp::Ordering {
 }
 
 /// SQL comparison over cells: any NULL operand ⇒ false, matching
-/// [`CmpOp::apply`] on the tuple path.
+/// [`CmpOp::apply`] in the reference evaluator.
 #[inline]
 fn apply_cmp(op: CmpOp, a: CellRef<'_>, b: CellRef<'_>) -> bool {
     use std::cmp::Ordering;
@@ -325,16 +468,26 @@ fn join_eq_cells(a: CellRef<'_>, b: CellRef<'_>) -> bool {
 }
 
 /// Execute with a CTE environment, recording per-operator rows and batch
-/// counts into the shared [`ExecProfile`].
+/// counts into the shared [`ExecProfile`]. `id` is the node's preorder id,
+/// meaningful only when `ctx.nodes` is set.
 fn vexec_env(
     plan: &Plan,
     db: &Database,
     env: &HashMap<String, VecResultSet>,
     ctx: &mut ExecCtx<'_>,
+    id: usize,
 ) -> Result<VecResultSet, EngineError> {
-    let rs = vexec_op(plan, db, env, ctx)?;
-    ctx.profile.record(op_name(plan), rs.row_count());
-    ctx.profile.record_batches(op_name(plan), rs.batches.len());
+    let start = ctx.nodes.is_some().then(Instant::now);
+    let rs = vexec_op(plan, db, env, ctx, id)?;
+    let rows = rs.row_count();
+    ctx.profile.record(op_name(plan), rows, rs.batches.len());
+    if let (Some(start), Some(nodes)) = (start, ctx.nodes.as_deref_mut()) {
+        let stat = &mut nodes[id];
+        stat.op = op_name(plan);
+        stat.calls += 1;
+        stat.rows_out += rows as u64;
+        stat.total_time += start.elapsed();
+    }
     Ok(rs)
 }
 
@@ -343,6 +496,7 @@ fn vexec_op(
     db: &Database,
     env: &HashMap<String, VecResultSet>,
     ctx: &mut ExecCtx<'_>,
+    id: usize,
 ) -> Result<VecResultSet, EngineError> {
     match plan {
         Plan::Scan { table, alias: _ } => {
@@ -364,7 +518,7 @@ fn vexec_op(
             Ok(VecResultSet { schema, batches })
         }
         Plan::Filter { input, predicates } => {
-            let rs = vexec_env(input, db, env, ctx)?;
+            let rs = vexec_env(input, db, env, ctx, id + 1)?;
             let bound = predicates
                 .iter()
                 .map(|p| p.bind(&rs.schema))
@@ -382,7 +536,7 @@ fn vexec_op(
             })
         }
         Plan::Project { input, items } => {
-            let rs = vexec_env(input, db, env, ctx)?;
+            let rs = vexec_env(input, db, env, ctx, id + 1)?;
             let bound = items
                 .iter()
                 .map(|(_, e)| e.bind(&rs.schema))
@@ -416,8 +570,8 @@ fn vexec_op(
             kind,
             on,
         } => {
-            let lrs = vexec_env(left, db, env, ctx)?;
-            let rrs = vexec_env(right, db, env, ctx)?;
+            let lrs = vexec_env(left, db, env, ctx, id + 1)?;
+            let rrs = vexec_env(right, db, env, ctx, id + 1 + left.node_count())?;
             let schema = plan.schema(db)?;
             let batches = vec_hash_join(&lrs, &rrs, *kind, on, &schema, ctx)?;
             Ok(VecResultSet { schema, batches })
@@ -425,8 +579,10 @@ fn vexec_op(
         Plan::OuterUnion { inputs } => {
             let schema = plan.schema(db)?;
             let mut batches = Vec::new();
+            let mut child_id = id + 1;
             for input in inputs {
-                let rs = vexec_env(input, db, env, ctx)?;
+                let rs = vexec_env(input, db, env, ctx, child_id)?;
+                child_id += input.node_count();
                 // Union position -> branch position (None = NULL pad), one
                 // mapping per branch; each output column is either an Arc
                 // clone or an all-NULL vector.
@@ -448,7 +604,7 @@ fn vexec_op(
             Ok(VecResultSet { schema, batches })
         }
         Plan::Sort { input, keys } => {
-            let rs = vexec_env(input, db, env, ctx)?;
+            let rs = vexec_env(input, db, env, ctx, id + 1)?;
             let idx: Vec<usize> = keys
                 .iter()
                 .map(|k| rs.schema.require(k).map_err(EngineError::from))
@@ -462,7 +618,7 @@ fn vexec_op(
                 });
             }
             // One global gather source, then a stable index sort with an
-            // allocation-free comparator (the tuple path clones a
+            // allocation-free comparator (the reference evaluator clones a
             // `Vec<Value>` key per row).
             let big = ColumnBatch::concat(&rs.schema, &rs.batches)?;
             let key_cols: Vec<&Column> = idx.iter().map(|&i| big.column(i)).collect();
@@ -486,7 +642,7 @@ fn vexec_op(
             })
         }
         Plan::Distinct { input } => {
-            let rs = vexec_env(input, db, env, ctx)?;
+            let rs = vexec_env(input, db, env, ctx, id + 1)?;
             // Global dedup across batches: hash buckets with cell-wise
             // verification, first occurrence wins (input order preserved).
             let mut seen: FxMap<u64, Vec<(usize, u32)>> = FxMap::default();
@@ -524,12 +680,17 @@ fn vexec_op(
             })
         }
         Plan::With { ctes, body } => {
+            // Materialize each definition once, visible to later
+            // definitions and the body — this is the sharing the paper's
+            // with-clause footnote is after.
             let mut local = env.clone();
+            let mut child_id = id + 1;
             for (name, def) in ctes {
-                let rs = vexec_env(def, db, &local, ctx)?;
+                let rs = vexec_env(def, db, &local, ctx, child_id)?;
+                child_id += def.node_count();
                 local.insert(name.clone(), rs);
             }
-            vexec_env(body, db, &local, ctx)
+            vexec_env(body, db, &local, ctx, child_id)
         }
         Plan::CteScan {
             cte,
@@ -742,7 +903,7 @@ fn vec_hash_join(
 
     // Build side: bucket right-row indices by key hash, skipping NULL keys.
     // Bucket order is insertion order, so probes emit matches in
-    // right-input order — same as the tuple path.
+    // right-input order — same as the reference evaluator.
     let rkey_cols: Vec<&Column> = ridx.iter().map(|&c| rbatch.column(c)).collect();
     let mut build: FxMap<u64, Vec<u32>> =
         FxMap::with_capacity_and_hasher(rbatch.len(), BuildHasherDefault::default());
@@ -804,7 +965,7 @@ fn vec_hash_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_profiled;
+    use crate::exec::execute;
     use crate::expr::{Expr, Predicate};
     use sr_data::{row, Table};
 
@@ -827,9 +988,10 @@ mod tests {
         db
     }
 
-    /// Both paths must produce identical rows (hence identical bytes).
+    /// The executor and the reference evaluator must produce identical rows
+    /// (hence identical bytes).
     fn assert_paths_agree(plan: &Plan, db: &Database) {
-        let (tuple, _) = execute_profiled(plan, db).unwrap();
+        let tuple = execute(plan, db).unwrap();
         let (vec, _) = execute_vectorized_profiled(plan, db).unwrap();
         assert_eq!(vec.schema, tuple.schema);
         assert_eq!(vec.to_rows(), tuple.rows, "plan: {plan:?}");
@@ -1028,14 +1190,5 @@ mod tests {
             Err(EngineError::Transient(m)) => assert!(m.contains("scan"), "{m}"),
             other => panic!("expected transient, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn exec_mode_parses() {
-        assert_eq!(ExecMode::parse("tuple"), Some(ExecMode::Tuple));
-        assert_eq!(ExecMode::parse("vectorized"), Some(ExecMode::Vectorized));
-        assert_eq!(ExecMode::parse("simd"), None);
-        assert_eq!(ExecMode::Vectorized.to_string(), "vectorized");
-        assert_eq!(ExecMode::default(), ExecMode::Tuple);
     }
 }

@@ -158,15 +158,22 @@ fn timeout_mid_plan_leaves_no_partial_stream() {
         Err(sr_engine::EngineError::Timeout { .. }) => {}
         other => panic!("expected timeout, got {other:?}"),
     }
-    // Multi-query (mid-plan) execution: every stream reports the timeout;
-    // none comes back partially decoded.
-    let queries = vec![
-        "SELECT a.id AS id FROM A a ORDER BY id".to_string(),
-        "SELECT a.g AS g FROM A a ORDER BY g".to_string(),
-    ];
-    let results = server.execute_all_parallel(&queries);
-    assert_eq!(results.len(), 2);
-    for r in &results {
+    // Multi-query (mid-plan) execution: both streams are submitted before
+    // either is read, and each reports the timeout on its first read —
+    // none yields a row first.
+    let streams: Vec<_> = [
+        "SELECT a.id AS id FROM A a ORDER BY id",
+        "SELECT a.g AS g FROM A a ORDER BY g",
+    ]
+    .iter()
+    .map(|q| {
+        server
+            .execute_sql_streaming(q)
+            .expect("plans synchronously")
+    })
+    .collect();
+    for mut s in streams {
+        let r = s.next_row();
         assert!(
             matches!(r, Err(sr_engine::EngineError::Timeout { .. })),
             "expected timeout, got {r:?}"

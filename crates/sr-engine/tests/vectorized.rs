@@ -5,9 +5,9 @@
 //! 1. **Round-trip**: any rows — random types, NULLs, NaNs, empty tables —
 //!    pivoted into [`ColumnBatch`]es come back out identical.
 //! 2. **Byte identity**: for randomly generated plans, the vectorized
-//!    executor's wire encoding is byte-for-byte the tuple executor's. The
-//!    column path is a pure execution-strategy change; any divergence in
-//!    bytes (not just rows — bytes) is a bug.
+//!    executor's wire encoding is byte-for-byte that of the row-at-a-time
+//!    reference evaluator (`sr_engine::execute`). Any divergence in bytes
+//!    (not just rows — bytes) is a bug in the executor.
 
 use std::sync::Arc;
 
@@ -291,7 +291,7 @@ proptest! {
     fn vectorized_matches_tuple_bytes_for_random_plans(g in gen_strategy()) {
         let db = db();
         let plan = Builder { db: &db, counter: 0 }.build(&g);
-        let tuple = execute(&plan, &db).expect("tuple path");
+        let tuple = execute(&plan, &db).expect("reference evaluator");
         let vector = execute_vectorized(&plan, &db).expect("vectorized path");
         prop_assert_eq!(
             tuple.schema.names().collect::<Vec<_>>(),

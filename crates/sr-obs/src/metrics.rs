@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::json::Json;
@@ -235,6 +235,27 @@ pub struct MetricsRegistry {
     windowed_counters: Mutex<BTreeMap<String, Arc<crate::window::WindowedCounter>>>,
 }
 
+/// Lock a registry map, recovering it from a poisoned mutex. A map entry
+/// is inserted in one step under the lock, so the map is consistent even
+/// when a thread panicked while holding it — propagating the poison would
+/// take every later metric call (and the thread making it) down with it.
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Get or create the instrument `name` in `map`.
+fn get_or_create<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = lock_recover(map);
+    Arc::clone(
+        map.entry(name.to_string())
+            .or_insert_with(|| Arc::new(make())),
+    )
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -243,20 +264,12 @@ impl MetricsRegistry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("counter registry lock");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+        get_or_create(&self.counters, name, Counter::new)
     }
 
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("histogram registry lock");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
+        get_or_create(&self.histograms, name, Histogram::new)
     }
 
     /// Get or create the rolling-window histogram `name`. Windowed
@@ -264,25 +277,19 @@ impl MetricsRegistry {
     /// namespace; a snapshot of the cumulative registry does not include
     /// them (see [`MetricsRegistry::windows_json`]).
     pub fn windowed_histogram(&self, name: &str) -> Arc<crate::window::WindowedHistogram> {
-        let mut map = self
-            .windowed_histograms
-            .lock()
-            .expect("windowed histogram registry lock");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(crate::window::WindowedHistogram::new())),
+        get_or_create(
+            &self.windowed_histograms,
+            name,
+            crate::window::WindowedHistogram::new,
         )
     }
 
     /// Get or create the rolling-window counter `name`.
     pub fn windowed_counter(&self, name: &str) -> Arc<crate::window::WindowedCounter> {
-        let mut map = self
-            .windowed_counters
-            .lock()
-            .expect("windowed counter registry lock");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(crate::window::WindowedCounter::new())),
+        get_or_create(
+            &self.windowed_counters,
+            name,
+            crate::window::WindowedCounter::new,
         )
     }
 
@@ -291,17 +298,13 @@ impl MetricsRegistry {
     /// "counters": {...}}`.
     pub fn windows_json(&self) -> Json {
         let histograms = Json::Obj(
-            self.windowed_histograms
-                .lock()
-                .expect("windowed histogram registry lock")
+            lock_recover(&self.windowed_histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect(),
         );
         let counters = Json::Obj(
-            self.windowed_counters
-                .lock()
-                .expect("windowed counter registry lock")
+            lock_recover(&self.windowed_counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect(),
@@ -311,17 +314,11 @@ impl MetricsRegistry {
 
     /// Immutable snapshot of every instrument.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .lock()
-            .expect("counter registry lock")
+        let counters = lock_recover(&self.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("histogram registry lock")
+        let histograms = lock_recover(&self.histograms)
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
@@ -514,5 +511,24 @@ mod tests {
         assert!(json.contains("\"a.b\":7"), "{json}");
         assert!(json.contains("\"lat\":{\"count\":1"), "{json}");
         assert!(json.contains("\"buckets\":[{\"le\":4,\"n\":1}]"), "{json}");
+    }
+
+    #[test]
+    fn registry_survives_a_poisoned_lock() {
+        let reg = Arc::new(MetricsRegistry::new());
+        reg.counter("before").add(2);
+        let r2 = Arc::clone(&reg);
+        let _ = std::thread::spawn(move || {
+            let _guard = r2.counters.lock().unwrap();
+            panic!("poison the counter map");
+        })
+        .join();
+        assert!(reg.counters.is_poisoned());
+        // Lookups, creation and snapshots keep working on the recovered map.
+        reg.counter("before").inc();
+        reg.counter("after").inc();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("before"), 3);
+        assert_eq!(snap.counter("after"), 1);
     }
 }

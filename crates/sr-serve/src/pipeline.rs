@@ -369,9 +369,10 @@ pub struct RunStats {
     /// Time inside the response writer (frame encode + socket write,
     /// including client backpressure).
     pub encode_ms: f64,
-    /// Whether every component plan came out of the prepared-plan cache
-    /// (best-effort: sampled from the shared counter, so concurrent
-    /// requests can inflate it).
+    /// Whether every component statement of this request skipped planning
+    /// — its plan came out of the prepared-plan cache, or its result out of
+    /// the fragment cache. Read off this request's own streams, so
+    /// concurrent requests never claim each other's hits.
     pub cache_hit: bool,
     /// The generated component SQL, in stream order — what a slow-query
     /// capture re-runs under EXPLAIN ANALYZE.
@@ -404,10 +405,7 @@ pub fn run_query<W: Write>(
     let queries = generate_queries(tree, engine.database(), spec).map_err(engine_err)?;
     let streams = queries.len() as u64;
     let plan_ms = started.elapsed().as_secs_f64() * 1e3;
-    let cache_hits_before = engine
-        .metrics()
-        .snapshot()
-        .counter("server.plan_cache_hits");
+    let mut cache_hit = streams > 0;
     let mut sqls = Vec::with_capacity(queries.len());
     let mut per_stream_rows: Vec<u64> = Vec::with_capacity(queries.len());
 
@@ -416,6 +414,7 @@ pub fn run_query<W: Write>(
             let mut inputs = Vec::with_capacity(queries.len());
             for (i, q) in queries.into_iter().enumerate() {
                 let mut stream = engine.execute_sql_streaming(&q.sql).map_err(engine_err)?;
+                cache_hit &= stream.cache_hit;
                 cancels.register(stream.cancel_handle());
                 if let Some(t) = tracer {
                     stream.set_trace(t, &format!("stream {i}"));
@@ -464,6 +463,7 @@ pub fn run_query<W: Write>(
             let mut write_ns = 0u64;
             for (i, q) in queries.into_iter().enumerate() {
                 let mut stream = engine.execute_sql_streaming(&q.sql).map_err(engine_err)?;
+                cache_hit &= stream.cache_hit;
                 cancels.register(stream.cancel_handle());
                 if let Some(t) = tracer {
                     stream.set_trace(t, &format!("stream {i}"));
@@ -513,12 +513,8 @@ pub fn run_query<W: Write>(
             }
         }
     };
-    let cache_hits_after = engine
-        .metrics()
-        .snapshot()
-        .counter("server.plan_cache_hits");
     Ok(RunStats {
-        cache_hit: streams > 0 && cache_hits_after - cache_hits_before >= streams,
+        cache_hit,
         sqls,
         per_stream_rows,
         ..run

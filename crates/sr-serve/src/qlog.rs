@@ -225,7 +225,7 @@ mod tests {
             plan: "unified".into(),
             xpath: String::new(),
             format: Format::Xml,
-            exec_mode: "tuple".into(),
+            exec_mode: "vectorized".into(),
             shards: 1,
             streams: 2,
             cache_hit: seq > 0,

@@ -337,7 +337,7 @@ mod tests {
             draining: false,
             active_conns: 2,
             max_conns: 64,
-            exec_mode: "tuple".into(),
+            exec_mode: "vectorized".into(),
             shards: 1,
             admission: &admission,
             metrics: &metrics,

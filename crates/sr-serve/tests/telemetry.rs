@@ -293,3 +293,127 @@ fn qlog_without_slow_threshold_skips_capture() {
     assert!(r.get("trace_file").is_none());
     let _ = std::fs::remove_file(&qlog_path);
 }
+
+/// Each query-log record's `cache_hit` describes its own request: while
+/// one client re-requests an already-planned view (every record a hit),
+/// another concurrently requests views it has never planned (every record
+/// a miss), and neither may claim the other's prepared-plan cache hits.
+#[test]
+fn qlog_cache_hit_is_per_request_under_concurrency() {
+    const COLD_ROUNDS: u32 = 20;
+    let qlog_path = scratch_path("cache-hit");
+    let handle = serve(
+        tiny_engine(),
+        ViewCatalog::new(),
+        ServeConfig {
+            query_log: Some(qlog_path.clone()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind serve");
+    let addr = handle.local_addr();
+
+    let mut warm = Client::connect(addr).expect("warm connect");
+    warm.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // Plan the warm view once (this first record is a miss).
+    warm.fetch_tuples(view(), "unified").expect("prime");
+    let cold = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).expect("cold connect");
+        c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        for i in 0..COLD_ROUNDS {
+            // A distinct predicate per request: SQL the server never saw.
+            let rxl = format!(
+                "from Supplier $s where $s.suppkey > {i} \
+                 construct <supplier> <name>$s.name</name> </supplier>"
+            );
+            c.fetch_tuples(ViewRef::Rxl(rxl), "unified")
+                .expect("cold query");
+        }
+    });
+    // Keep the warm client busy for as long as the cold one runs, so warm
+    // hits land inside every cold request's lifetime.
+    let mut requests = 1 + COLD_ROUNDS;
+    while !cold.is_finished() {
+        warm.fetch_tuples(view(), "unified").expect("warm query");
+        requests += 1;
+    }
+    cold.join().expect("cold client");
+    wait_for("every qlog record written", || {
+        let j = Json::parse(&warm.stats().expect("stats")).expect("parse");
+        unum(&j, &["qlog", "written"]) >= f64::from(requests)
+    });
+    handle.shutdown();
+
+    let body = std::fs::read_to_string(&qlog_path).expect("read query log");
+    let records: Vec<Json> = body
+        .lines()
+        .map(|l| Json::parse(l).expect("record parses"))
+        .collect();
+    assert_eq!(records.len(), requests as usize);
+    let warm_client = unum(&records[0], &["client"]);
+    let mut cold_seen = 0;
+    for r in &records {
+        let hit = matches!(r.get("cache_hit"), Some(Json::Bool(true)));
+        let seq = unum(r, &["seq"]);
+        if unum(r, &["client"]) == warm_client {
+            assert_eq!(hit, seq > 0.0, "warm record {seq}: cache_hit {hit}");
+        } else {
+            cold_seen += 1;
+            assert!(!hit, "cold record {seq} claimed a concurrent request's hit");
+        }
+    }
+    assert_eq!(cold_seen, COLD_ROUNDS);
+    let _ = std::fs::remove_file(&qlog_path);
+}
+
+/// The metrics catalog stays complete: every counter and histogram that a
+/// materialization plus a served request leave in the registry is named
+/// in docs/OBSERVABILITY.md — verbatim, or as its `<prefix>.<op>`
+/// per-operator family.
+#[test]
+fn every_emitted_metric_is_documented() {
+    let engine = tiny_engine();
+    let tree = silkroute::query1_tree(engine.database());
+    silkroute::materialize(
+        &tree,
+        &engine,
+        silkroute::PlanSpec::unified(&tree),
+        std::io::sink(),
+    )
+    .expect("materialize");
+    let handle = serve(
+        Arc::clone(&engine),
+        ViewCatalog::new(),
+        ServeConfig::default(),
+    )
+    .expect("bind serve");
+    let mut c = Client::connect(handle.local_addr()).expect("connect");
+    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    c.materialize(view(), "unified").expect("served query");
+    handle.shutdown();
+
+    let doc = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/OBSERVABILITY.md"),
+    )
+    .expect("read docs/OBSERVABILITY.md");
+    let documented = |name: &str| {
+        doc.contains(&format!("`{name}`"))
+            || name
+                .rsplit_once('.')
+                .is_some_and(|(family, _)| doc.contains(&format!("`{family}.<op>`")))
+    };
+    let snap = engine.metrics().snapshot();
+    assert!(snap.counters.contains_key("exec.batches"));
+    assert!(snap.histograms.contains_key("serve.request_us"));
+    let missing: Vec<&String> = snap
+        .counters
+        .keys()
+        .chain(snap.histograms.keys())
+        .filter(|name| !documented(name))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "metrics missing from docs/OBSERVABILITY.md: {missing:?}"
+    );
+}

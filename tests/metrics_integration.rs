@@ -5,18 +5,16 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use silkroute::{
-    materialize, materialize_buffered, materialize_parallel, query1_tree, query2_tree, PlanSpec,
-    Server,
-};
+use silkroute::{materialize, materialize_buffered, query1_tree, query2_tree, PlanSpec, Server};
 
 fn server() -> Server {
     let db = sr_tpch::generate(sr_tpch::Scale::mb(0.1)).expect("tpch generation");
     Server::new(Arc::new(db))
 }
 
-/// Sequential and parallel materialization must report identical tuple and
-/// byte counts — parallelism changes wall-clock, never the data.
+/// Sequential (buffered) and parallel (pipelined) materialization must
+/// report identical tuple and byte counts — parallelism changes
+/// wall-clock, never the data.
 #[test]
 fn sequential_and_parallel_report_identical_counts() {
     let server = server();
@@ -25,8 +23,8 @@ fn sequential_and_parallel_report_identical_counts() {
         query2_tree(server.database()),
     ] {
         for spec in [PlanSpec::fully_partitioned(), PlanSpec::unified(&tree)] {
-            let (seq, _) = materialize(&tree, &server, spec, Vec::new()).unwrap();
-            let (par, _) = materialize_parallel(&tree, &server, spec, Vec::new()).unwrap();
+            let (seq, _) = materialize_buffered(&tree, &server, spec, Vec::new()).unwrap();
+            let (par, _) = materialize(&tree, &server, spec, Vec::new()).unwrap();
             assert_eq!(seq.stats.tuples, par.stats.tuples);
             assert_eq!(seq.stats.bytes, par.stats.bytes);
             assert_eq!(seq.report.tuples, par.report.tuples);
